@@ -285,9 +285,10 @@ usage:
   slcs bench-osed [--quick] [--sizes N,N] [--runs N] [--out FILE]
                                     output-sensitive edit distance vs the
                                     full-grid paths over a similarity
-                                    (90/99/99.9%) x size sweep (millis,
-                                    allocs, ratio; JSON to FILE, default
-                                    BENCH_osed.json)
+                                    (80/90/99/99.9%) x size sweep plus
+                                    periodic worst cases (millis, allocs,
+                                    ratio, probe route; JSON to FILE,
+                                    default BENCH_osed.json)
 
 operands: literal strings, or @file (raw bytes, or FASTA if it starts with '>')";
 
@@ -1108,8 +1109,8 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
             engine.submit_wait(req).map_err(|e| err(e.to_string()))?;
         }
         // One ~99%-similar pair through the global-edit route records
-        // the output-sensitive path (osed.sa_build / osed.lcp_build /
-        // osed.edit / osed.bfs_round) in the same timeline.
+        // the output-sensitive path (osed.edit / osed.bfs_round) in the
+        // same timeline.
         let (pa, pb) = slcs_datagen::similar_pair(&mut rng, 2048, 4, 0.01);
         engine
             .submit_wait(slcs_engine::CompareRequest::new(
@@ -1489,7 +1490,7 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
 }
 
 /// `slcs bench-osed` — the output-sensitive edit-distance path
-/// (`slcs-osed`: SA+RMQ LCP oracle plus Landau–Vishkin diagonal BFS)
+/// (`slcs-osed`: Landau–Vishkin diagonal BFS with word-at-a-time LCP)
 /// against the full-grid paths, over a similarity × size sweep.
 ///
 /// For every (size, similarity) cell a seeded σ = 4 pair is generated
@@ -1499,10 +1500,16 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
 /// `k = d − 1`. The grid baselines (row-major DP and the blown-up
 /// `EditDistances` index) are content-oblivious, so they are timed once
 /// per size; `ratio_vs_best_grid` divides osed's time by the *fastest*
-/// grid path. One BFS per cell also runs inside an
-/// [`slcs_alloc::AllocScope`]: SA-IS allocation counts are
-/// deterministic for a seeded input, which lets `cargo xtask perf-gate`
-/// pin them exactly like `bench-mem`'s.
+/// grid path. Each row also times the engine's dispatch decision (the
+/// similarity probe) and records the route it picks, so the 80%/90%
+/// rows show where the probe's crossover sits against `EditDistances`.
+/// One BFS per cell runs inside an [`slcs_alloc::AllocScope`]: the
+/// count is deterministic for a seeded input, which lets
+/// `cargo xtask perf-gate` pin it exactly like `bench-mem`'s.
+///
+/// A second table runs periodic worst cases at size 65536 — unary,
+/// period 4 and period 64 bases with scattered mutations — where
+/// matching runs are long on many diagonals at once.
 fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(rest, &["sizes", "runs", "out", "seed"])?;
     let quick = opts.has("quick");
@@ -1513,16 +1520,34 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
     let out_path = opts.value("out").unwrap_or("BENCH_osed.json").to_string();
     /// Verify against the O(mn) DP only where it stays cheap.
     const DP_VERIFY_MAX: usize = 4096;
-    let sims: [f64; 3] = [0.90, 0.99, 0.999];
+    /// Length of the periodic worst-case rows.
+    const PERIODIC_LEN: usize = 65536;
+    let sims: [f64; 4] = [0.80, 0.90, 0.99, 0.999];
     let installed = slcs_alloc::installed();
+    let threads = rayon::current_num_threads();
 
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    // Seq/par agreement plus the bounded variant's exactness at its
+    // own answer; returns the distance.
+    let check = |a: &[u8], b: &[u8], what: &str| -> Result<usize, CliError> {
+        let d = slcs_osed::edit_distance(a, b);
+        let d_par = slcs_osed::par_edit_distance(a, b);
+        if d != d_par {
+            return Err(err(format!("parallel BFS diverged on {what}: {d} vs {d_par}")));
+        }
+        if slcs_osed::edit_distance_bounded(a, b, d) != Some(d)
+            || (d > 0 && slcs_osed::edit_distance_bounded(a, b, d - 1).is_some())
+        {
+            return Err(err(format!("bounded BFS wrong on {what}")));
+        }
+        Ok(d)
+    };
     let mut report = format!(
         "output-sensitive edit distance vs full-grid, sizes {sizes:?}, \
-         similarities {sims:?}, {runs} run(s)\n"
+         similarities {sims:?}, {runs} run(s), {threads} thread(s)\n"
     );
     let mut grids = Vec::new(); // (size, dp_ms, index_ms)
-    let mut rows = Vec::new(); // (size, sim, d, seq_ms, par_ms, allocs, bytes, peak, ratio)
+    let mut rows = Vec::new();
     for &n in &sizes {
         // Grid timings are oblivious to string content, so one pair per
         // size serves both baselines (timed once: they run for seconds
@@ -1548,58 +1573,81 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
         for &sim in &sims {
             let mut rng = slcs_datagen::seeded_rng(seed.wrapping_add((sim * 1e4) as u64));
             let (a, b) = slcs_datagen::similar_pair(&mut rng, n, 4, 1.0 - sim);
-            let d_seq = slcs_osed::edit_distance(&a, &b);
-            let d_par = slcs_osed::par_edit_distance(&a, &b);
-            if d_seq != d_par {
-                return Err(err(format!(
-                    "parallel BFS diverged at size {n}, similarity {sim}: {d_seq} vs {d_par}"
-                )));
-            }
-            if n <= DP_VERIFY_MAX && d_seq != slcs_baselines::edit_distance(&a, &b) {
+            let d = check(&a, &b, &format!("size {n}, similarity {sim}"))?;
+            if n <= DP_VERIFY_MAX && d != slcs_baselines::edit_distance(&a, &b) {
                 return Err(err(format!("BFS wrong at size {n}, similarity {sim}")));
             }
-            if slcs_osed::edit_distance_bounded(&a, &b, d_seq) != Some(d_seq)
-                || (d_seq > 0 && slcs_osed::edit_distance_bounded(&a, &b, d_seq - 1).is_some())
-            {
-                return Err(err(format!("bounded BFS wrong at size {n}, similarity {sim}")));
-            }
+            let op = slcs_engine::Operation::Edit { w: None };
+            let route = slcs_engine::dispatch::decide(&op, &a, &b, 1).reason;
+            let probe = median_time(runs, || slcs_engine::dispatch::decide(&op, &a, &b, 1));
             let scope = slcs_alloc::AllocScope::enter(None);
             std::hint::black_box(slcs_osed::edit_distance(&a, &b));
             let alloc = scope.delta();
-            let seq = median_time(runs, || slcs_osed::edit_distance(&a, &b));
-            let par = median_time(runs, || slcs_osed::par_edit_distance(&a, &b));
-            let ratio = ms(seq).min(ms(par)) / best_grid_ms;
+            let seq = ms(median_time(runs, || slcs_osed::edit_distance(&a, &b)));
+            let par = ms(median_time(runs, || slcs_osed::par_edit_distance(&a, &b)));
+            let ratio = seq.min(par) / best_grid_ms;
+            let routed_ms =
+                if route == slcs_engine::DispatchReason::EditSimilar { seq } else { index_ms };
+            let dispatch_ms = ms(probe) + routed_ms;
             writeln!(
                 report,
-                "  {n} @ {:6.2}%  d={d_seq:<6} osed {:9.2} ms (par {:9.2} ms)  \
-                 {:>8} allocs  ratio {ratio:.4}",
+                "  {n} @ {:6.2}%  d={d:<6} osed {seq:9.3} ms (par {par:9.3} ms)  \
+                 {:>4} allocs  ratio {ratio:.5}  probe {:7.2} us -> {} ({dispatch_ms:.3} ms)",
                 100.0 * sim,
-                ms(seq),
-                ms(par),
                 alloc.allocs,
+                probe.as_secs_f64() * 1e6,
+                route.token(),
             )
             .unwrap(); // PANIC: fmt to String is infallible
-            rows.push((
-                n,
-                sim,
-                d_seq,
-                ms(seq),
-                ms(par),
+            rows.push(format!(
+                "{{\"size\": {n}, \"similarity\": {sim}, \"distance\": {d}, \
+                 \"osed_millis\": {seq:.3}, \"osed_par_millis\": {par:.3}, \
+                 \"allocs\": {}, \"alloc_bytes\": {}, \"peak_live_bytes\": {}, \
+                 \"probe_micros\": {:.2}, \"route\": \"{}\", \
+                 \"dispatch_millis\": {dispatch_ms:.3}, \"ratio_vs_best_grid\": {ratio:.5}}}",
                 alloc.allocs,
                 alloc.alloc_bytes,
                 alloc.peak_live_delta,
-                ratio,
+                probe.as_secs_f64() * 1e6,
+                route.token(),
+            ));
+        }
+    }
+
+    writeln!(report, "periodic worst cases at size {PERIODIC_LEN}:").unwrap(); // PANIC: fmt to String is infallible
+    let mut periodic = Vec::new();
+    for period in [1u8, 4, 64] {
+        for divergence in [0.0001, 0.01] {
+            let mut rng = slcs_datagen::seeded_rng(seed.wrapping_add(u64::from(period)));
+            let pattern: Vec<u8> = (0..period).collect();
+            let a = slcs_datagen::periodic_string(&pattern, PERIODIC_LEN);
+            let model = slcs_datagen::MutationModel::with_divergence(divergence);
+            let b = slcs_datagen::mutate_symbols(&mut rng, &a, &model, period.max(2));
+            let d = check(&a, &b, &format!("period {period}, divergence {divergence}"))?;
+            let seq = ms(median_time(runs, || slcs_osed::edit_distance(&a, &b)));
+            let par = ms(median_time(runs, || slcs_osed::par_edit_distance(&a, &b)));
+            writeln!(
+                report,
+                "  period {period:>2} @ {:5.2}% divergence  d={d:<6} osed {seq:9.3} ms \
+                 (par {par:9.3} ms)",
+                100.0 * divergence
+            )
+            .unwrap(); // PANIC: fmt to String is infallible
+            periodic.push(format!(
+                "{{\"size\": {PERIODIC_LEN}, \"period\": {period}, \"divergence\": {divergence}, \
+                 \"distance\": {d}, \"osed_millis\": {seq:.3}, \"osed_par_millis\": {par:.3}}}"
             ));
         }
     }
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"bench\": \"bench-osed\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"landau_vishkin_sa_rmq\",").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"algorithm\": \"landau_vishkin_direct\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"unit\": \"millis\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"sigma\": 4,").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"threads\": {threads},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"allocator_installed\": {installed},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"grids\": [").unwrap(); // PANIC: fmt to String is infallible
     for (i, (n, dp_ms, index_ms)) in grids.iter().enumerate() {
@@ -1612,19 +1660,8 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
         .unwrap(); // PANIC: fmt to String is infallible
     }
     writeln!(json, "  ],").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, sim, d, seq_ms, par_ms, allocs, bytes, peak, ratio)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"size\": {n}, \"similarity\": {sim}, \"distance\": {d}, \
-             \"osed_millis\": {seq_ms:.3}, \"osed_par_millis\": {par_ms:.3}, \
-             \"allocs\": {allocs}, \"alloc_bytes\": {bytes}, \"peak_live_bytes\": {peak}, \
-             \"ratio_vs_best_grid\": {ratio:.5}}}{comma}"
-        )
-        .unwrap(); // PANIC: fmt to String is infallible
-    }
-    writeln!(json, "  ]").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"rows\": [\n    {}\n  ],", rows.join(",\n    ")).unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"periodic\": [\n    {}\n  ]", periodic.join(",\n    ")).unwrap(); // PANIC: fmt to String is infallible
     json.push_str("}\n");
     std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
     writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
@@ -2345,8 +2382,6 @@ mod tests {
             "engine.request",
             "team.run",
             "engine.dispatch",
-            "osed.sa_build",
-            "osed.lcp_build",
             "osed.edit",
             "osed.bfs_round",
             "engine.slow_capture",
@@ -2441,9 +2476,17 @@ mod tests {
         assert!(json.contains("\"bench\": \"bench-osed\""), "{json}");
         assert!(json.contains("\"allocator_installed\": true"), "{json}");
         for key in [
+            "\"algorithm\": \"landau_vishkin_direct\"",
+            "\"similarity\": 0.8,",
             "\"similarity\": 0.9,",
             "\"similarity\": 0.99,",
             "\"similarity\": 0.999,",
+            "\"route\": \"edit_similar\"",
+            "\"probe_micros\"",
+            "\"dispatch_millis\"",
+            "\"period\": 1,",
+            "\"period\": 4,",
+            "\"period\": 64,",
             "\"osed_millis\"",
             "\"osed_par_millis\"",
             "\"ratio_vs_best_grid\"",

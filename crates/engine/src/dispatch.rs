@@ -15,13 +15,14 @@
 //!   per request by the measured cost model ([`slcs_semilocal::tuning`],
 //!   fed by `slcs tune`), recorded in `slcs_sched_mode_total{mode}` and
 //!   the `engine.dispatch` instant's `sched` field.
-//! * **Output-sensitive BFS** (`slcs-osed`) — Landau–Vishkin O(n + d²)
-//!   edit distance. Wins by orders of magnitude when the inputs are
-//!   nearly equal (small d), loses badly when they are not, so the
-//!   dispatcher samples similarity ([`similar_inputs`]) before routing
-//!   a global edit request to it. Thresholded requests
-//!   ([`Operation::EditBounded`]) always take it: the BFS stops after
-//!   `k + 1` rounds by construction.
+//! * **Output-sensitive BFS** (`slcs-osed`) — Landau–Vishkin
+//!   O(d² + n·d/8) edit distance. Wins by orders of magnitude when the
+//!   inputs are nearly equal (small d); on unrelated inputs its edge
+//!   shrinks to ~2× and, unlike the `EditDistances` index, it leaves
+//!   nothing to cache, so the dispatcher samples similarity
+//!   ([`similar_inputs`]) before routing a global edit request to it.
+//!   Thresholded requests ([`Operation::EditBounded`]) always take it:
+//!   the BFS stops after `k + 1` rounds by construction.
 //!
 //! [`decide`] is a pure function of (operation, input bytes, thread
 //! budget) returning a [`DispatchDecision`] — algorithm *and* the
@@ -89,8 +90,11 @@ const ANCHOR_COUNT: usize = 32;
 const ANCHOR_PAD: usize = 256;
 
 /// Anchor hits required to call a pair "similar" (out of
-/// [`ANCHOR_COUNT`] sampled).
-const ANCHOR_HITS: usize = 8;
+/// [`ANCHOR_COUNT`] sampled). Unrelated σ = 4 pairs hit at most 2;
+/// ~80%-similar pairs hit 5–6 in the median, and osed beats the
+/// `EditDistances` index on them by 14–24× (`BENCH_osed.json`, the
+/// 0.8 rows), so 4 sends most of them to osed.
+const ANCHOR_HITS: usize = 4;
 
 /// Cheap similarity probe: samples [`ANCHOR_COUNT`] 8-byte anchors at
 /// evenly spaced pattern positions and looks for each near its
@@ -433,7 +437,7 @@ fn execute_inner(
         }
         Operation::Edit { w: None } => {
             // A cached index answers for free even when the plan would
-            // be osed; otherwise similarity decides between the O(n+d²)
+            // be osed; otherwise similarity decides between the O(d²+n·d/8)
             // BFS (no reusable artifact — the cache is bypassed, not
             // missed) and the full index.
             let key = CacheKey::new(IndexKind::Edit, pattern, text);

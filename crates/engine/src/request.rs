@@ -113,7 +113,7 @@ pub enum AlgoChoice {
     GridHybridCombing { tasks: usize },
     /// Blown-up combing behind the edit-distance index.
     EditIndex,
-    /// Output-sensitive Landau–Vishkin BFS (`slcs-osed`): O(n + d²),
+    /// Output-sensitive Landau–Vishkin BFS (`slcs-osed`): O(d² + n·d/8),
     /// chosen for high-similarity and thresholded edit requests.
     OutputSensitive,
     /// Served straight from the kernel cache — no combing at all.

@@ -1,5 +1,9 @@
-//! Landau–Vishkin diagonal BFS over the LCP oracle: O(n + m + d²)
-//! edit distance, output-sensitive in the distance `d`.
+//! Landau–Vishkin diagonal BFS over the LCP oracle: edit distance
+//! output-sensitive in the distance `d`: O(d²) frontier cells plus at
+//! most O(min(n, m) · d / 8) word compares sliding them, and no
+//! preprocessing. (Each slide on a diagonal starts past where that
+//! diagonal stood two rounds earlier, so a diagonal's bytes are
+//! compared O(1) times over the whole search.)
 //!
 //! Grid position `(i, j)` (a prefix pair `a[..i]`, `b[..j]`) lives on
 //! diagonal `id = i − j + m`; `max_row[id]` after round `k` is the
@@ -25,8 +29,8 @@ pub fn edit_distance(a: &[u8], b: &[u8]) -> usize {
 }
 
 /// Global edit distance if it is `≤ k`, else `None`. Exits before
-/// round `k + 1`, and skips the oracle build entirely when the length
-/// difference alone exceeds `k`.
+/// round `k + 1`, and before round 1 when the length difference alone
+/// exceeds `k`.
 pub fn edit_distance_bounded(a: &[u8], b: &[u8], k: usize) -> Option<usize> {
     diagonal_bfs(a, b, Some(k), None)
 }
@@ -48,7 +52,7 @@ pub fn par_edit_distance_grain(a: &[u8], b: &[u8], grain: usize) -> usize {
 fn diagonal_bfs(a: &[u8], b: &[u8], cap: Option<usize>, par: Option<usize>) -> Option<usize> {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
-        // Pure insertions/deletions; no oracle needed.
+        // Pure insertions/deletions; no diagonal to slide.
         let d = n + m;
         return match cap {
             Some(k) if d > k => None,
@@ -57,13 +61,13 @@ fn diagonal_bfs(a: &[u8], b: &[u8], cap: Option<usize>, par: Option<usize>) -> O
     }
     if let Some(k) = cap {
         // d ≥ |n − m| (the length gap is all indels): a hopeless bound
-        // is rejected before paying for the oracle.
+        // is rejected before any round runs.
         if n.abs_diff(m) > k {
             return None;
         }
     }
     let _span = slcs_trace::span!("osed.edit", "n" => n, "m" => m);
-    let oracle = LcpOracle::build(a, b);
+    let oracle = LcpOracle::new(a, b);
     let diags = n + m + 1;
     let target = n; // Diag(n, m)
     let mut max_row: Vec<i32> = vec![-1; diags];
@@ -229,6 +233,40 @@ mod tests {
         assert_eq!(edit_distance_bounded(b"ab", b"abcdefgh", 3), None);
         assert_eq!(edit_distance_bounded(b"", b"xyz", 2), None);
         assert_eq!(edit_distance_bounded(b"", b"xyz", 3), Some(3));
+    }
+
+    #[test]
+    fn periodic_worst_cases_match_the_dp() {
+        // Periodic strings are the direct oracle's worst case: after a
+        // shifting edit, many diagonals match for long runs, so slides
+        // re-scan far. Unary, period 4 and period 64 bases, each with
+        // scattered substitutions, insertions and deletions.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % bound
+        };
+        for period in [1usize, 4, 64] {
+            for edits in [1usize, 5, 40] {
+                let a: Vec<u8> = (0..1500).map(|i| b'a' + (i % period % 26) as u8).collect();
+                let mut b = a.clone();
+                for _ in 0..edits {
+                    let at = next(b.len());
+                    match next(3) {
+                        0 => b[at] = b'#',
+                        1 => b.insert(at, b'a' + next(26) as u8),
+                        _ => drop(b.remove(at)),
+                    }
+                }
+                let want = dp_edit_distance(&a, &b);
+                assert_eq!(edit_distance(&a, &b), want, "period {period}, {edits} edits");
+                assert_eq!(par_edit_distance_grain(&a, &b, 4), want, "par period {period}");
+                assert_eq!(edit_distance_bounded(&a, &b, want), Some(want));
+                if let Some(below) = want.checked_sub(1) {
+                    assert_eq!(edit_distance_bounded(&a, &b, below), None);
+                }
+            }
+        }
     }
 
     #[test]

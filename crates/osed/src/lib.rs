@@ -3,18 +3,16 @@
 //! Every other algorithm in this workspace pays for the full `n × m`
 //! grid even when the inputs are 99% identical — the production-
 //! realistic case (genome revisions, log/version diffing). This crate
-//! implements the Landau–Vishkin alternative: preprocess the pair so
-//! "how far do these two suffixes match?" is O(1), then breadth-first
-//! expand the edit-distance frontier one edit at a time, touching
-//! O(d²) cells for distance `d` instead of `n · m`.
+//! implements the Landau–Vishkin alternative: breadth-first expand the
+//! edit-distance frontier one edit at a time, touching O(d²) cells for
+//! distance `d` instead of `n · m`, and slide each cell down its run of
+//! matches by comparing the two strings 8 bytes at a time. Nothing is
+//! preprocessed; the worst case is O(d² + min(n, m) · d / 8).
 //!
-//! Layered bottom-up:
+//! Two layers:
 //!
-//! * [`suffix`] — SA-IS suffix-array construction, linear time, no
-//!   external dependencies.
-//! * [`lcp`] — Kasai LCP array + sparse-table RMQ behind
-//!   [`LcpOracle`], with the parlay-style 8-byte direct probe before
-//!   the RMQ fallback.
+//! * [`lcp`] — [`LcpOracle`], "how far do `a[i..]` and `b[j..]`
+//!   match?" by XOR-ing little-endian words of the borrowed inputs.
 //! * [`bfs`] — the diagonal BFS: [`edit_distance`] (sequential),
 //!   [`edit_distance_bounded`] (early exit past a threshold `k`), and
 //!   [`par_edit_distance`] (per-round frontier extension on the
@@ -31,10 +29,8 @@
 
 pub mod bfs;
 pub mod lcp;
-pub mod suffix;
 
 pub use bfs::{
     edit_distance, edit_distance_bounded, par_edit_distance, par_edit_distance_grain, PAR_GRAIN,
 };
-pub use lcp::{LcpOracle, SparseTable};
-pub use suffix::suffix_array;
+pub use lcp::LcpOracle;

@@ -37,7 +37,7 @@
 //! | [`bsp`] | BSP cost model for the parallel algorithms (ref [25]) |
 //! | [`datagen`] | synthetic σ-strings, binary strings, genome simulator, FASTA |
 //! | [`engine`] | concurrent comparison engine: bounded queue, kernel cache, adaptive dispatch, TCP server |
-//! | [`osed`] | output-sensitive edit distance: SA+RMQ LCP oracle, Landau–Vishkin diagonal BFS |
+//! | [`osed`] | output-sensitive edit distance: Landau–Vishkin diagonal BFS with word-at-a-time LCP |
 
 pub use slcs_apps as apps;
 pub use slcs_baselines as baselines;

@@ -88,10 +88,10 @@ fn panic_in_forked_arm_propagates_and_pool_survives() {
 
 #[test]
 fn panic_in_first_arm_wins_and_second_arm_completes() {
-    // A ≥2-thread budget forces the forked path: the second arm is
-    // published to the pool before the first arm panics, so `join` must
-    // wait for it even while unwinding. (Under a budget of 1, `join`
-    // degrades to sequential and the second arm legitimately never runs.)
+    // With a ≥2-thread budget the second arm is usually published to
+    // the pool before the first arm panics, so `join` must wait for it
+    // even while unwinding. When concurrent joins hold the budget,
+    // `join` runs sequentially, and the second arm must still run.
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let ran_b = AtomicUsize::new(0);
     let caught = catch_unwind(AssertUnwindSafe(|| {
