@@ -6,7 +6,7 @@
 use slcs_braid::{steady_ant, steady_ant_precalc_capped};
 use slcs_datagen::{normal_string, seeded_rng};
 use slcs_perm::{DominanceTable, MergeSortTree, Permutation};
-use slcs_semilocal::antidiag::par_antidiag_combing_branchless_grain;
+use slcs_semilocal::antidiag::{par_antidiag_combing_branchless_sched, Scheduling};
 use slcs_semilocal::iterative_combing;
 
 use crate::{fmt_duration, fmt_ratio, measure, Scale, Table};
@@ -74,7 +74,9 @@ fn grain_size(scale: Scale) {
         &["grain_cells", "time"],
     );
     for grain in [256usize, 1024, 4096, 8192, 32768, usize::MAX / 2] {
-        let t = measure(3, || par_antidiag_combing_branchless_grain(&a, &b, grain));
+        let t = measure(3, || {
+            par_antidiag_combing_branchless_sched(&a, &b, Scheduling::WorkSteal, grain)
+        });
         let label = if grain >= usize::MAX / 2 {
             "∞ (sequential)".to_string()
         } else {

@@ -17,8 +17,8 @@
 //! * `profile` — parallelism profile of one workload: per-worker
 //!   busy/steal/idle/barrier attribution, critical-path work/span
 //!   analysis (T_total, T_crit, parallelism), speedup vs measured T1;
-//! * `bench-profile` — utilization and parallelism sweep across
-//!   scheduling modes plus the profiler's own on/off overhead;
+//! * `bench-profile` — utilization and parallelism sweep of the
+//!   work-stealing wavefront plus the profiler's own on/off overhead;
 //! * `audit` — dump the serving engine's flight recorder: newest or
 //!   slowest audit records, filtered by class or dispatch reason, plus
 //!   the slow-request trace exemplars;
@@ -94,17 +94,35 @@ pub struct Options {
 }
 
 impl Options {
-    pub fn parse(args: &[String], value_flags: &[&str]) -> Result<Options, CliError> {
+    /// Splits `args` into positional operands and the subcommand's
+    /// flags: `value_flags` take the next argument as their value,
+    /// `bool_flags` stand alone. Any other `--flag` is an error that
+    /// names it and lists the accepted ones, so a typo or a removed flag
+    /// fails loudly instead of being ignored.
+    pub fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Options, CliError> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 if value_flags.contains(&name) {
                     let v = it.next().ok_or_else(|| err(format!("--{name} requires a value")))?;
                     flags.push((name.to_string(), Some(v.clone())));
-                } else {
+                } else if bool_flags.contains(&name) {
                     flags.push((name.to_string(), None));
+                } else {
+                    let accepted: Vec<String> = value_flags
+                        .iter()
+                        .map(|f| format!("--{f} V"))
+                        .chain(bool_flags.iter().map(|f| format!("--{f}")))
+                        .collect();
+                    let accepted =
+                        if accepted.is_empty() { "none".to_string() } else { accepted.join(" ") };
+                    return Err(err(format!("unknown flag --{name} (accepted: {accepted})")));
                 }
             } else {
                 positional.push(arg.clone());
@@ -188,7 +206,6 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<String, CliError> {
         "bench-profile" => cmd_bench_profile(rest),
         "bench-engine" => cmd_bench_engine(rest),
         "bench-baseline" => cmd_bench_baseline(rest),
-        "tune" => cmd_tune(rest),
         "bench-obs" => cmd_bench_obs(rest),
         "bench-mem" => cmd_bench_mem(rest),
         "bench-osed" => cmd_bench_osed(rest),
@@ -227,8 +244,8 @@ usage:
                                     server's profiler is on), windowed
                                     p99s (--count 0 polls forever;
                                     default one snapshot)
-  slcs profile [WORKLOAD] [--size N] [--threads N] [--sched MODE]
-               [--grain N] [--topk K] [--runs N] [--trace FILE] [--quick]
+  slcs profile [WORKLOAD] [--size N] [--threads N] [--grain N]
+               [--topk K] [--runs N] [--trace FILE] [--quick]
                                     parallelism profile of one workload
                                     (wavefront | braid): per-worker
                                     busy/steal/idle/barrier attribution
@@ -239,11 +256,11 @@ usage:
                                     timeline with per-worker lanes)
   slcs bench-profile [--quick] [--sizes N,N] [--threads N,N] [--grain N]
                      [--runs N] [--out FILE]
-                                    utilization / parallelism sweep over
-                                    team, pool_per_diag and work_steal
-                                    scheduling, plus the profiler's own
-                                    off (A/A) and on overhead; JSON to
-                                    FILE, default BENCH_profile.json
+                                    utilization / parallelism sweep of
+                                    the work_steal wavefront, plus the
+                                    profiler's own off (A/A) and on
+                                    overhead; JSON to FILE, default
+                                    BENCH_profile.json
   slcs audit [--addr HOST:PORT] [N | slowest [N] | class C [N]
              | reason R [N] | captures]
                                     dump the server's flight recorder
@@ -255,22 +272,14 @@ usage:
                                     span tree otherwise)
   slcs bench-engine [--requests N] [--pairs N] [--len N] [--sigma S]
                     [--trace FILE]  offline engine throughput run
-  slcs bench-baseline [--quick] [--sizes N,N] [--threads N,N] [--grain N]
+  slcs bench-baseline [--quick] [--sizes N,N] [--threads N,N] [--grain N,N]
                       [--runs N] [--out FILE] [--trace FILE]
                                     anti-diagonal scheduling benchmark
-                                    (seq / spawn / pool / team → ns/cell,
+                                    (seq / work_steal per --grain in a
+                                    comma list / planned → ns/cell,
                                     JSON written to FILE, default
                                     BENCH_pool.json; --trace adds one
                                     traced pass and writes its timeline)
-  slcs tune [--quick] [--sizes N,N] [--threads N,N] [--grains N,N]
-            [--runs N] [--out FILE]   calibrate the scheduling cost model:
-                                    measure every fixed parallel mode over
-                                    a size x threads x grain sweep and
-                                    write the winning (mode, grain) per
-                                    regime as a tuning profile (default
-                                    perf/tuning.json; Scheduling::Auto
-                                    and the engine consult it, override
-                                    path with SLCS_TUNING)
   slcs bench-obs [--quick] [--size N] [--threads N] [--grain N] [--runs N]
                  [--out FILE]       observability overhead benchmark
                                     (instrumentation compiled out vs
@@ -293,7 +302,7 @@ usage:
 operands: literal strings, or @file (raw bytes, or FASTA if it starts with '>')";
 
 fn cmd_lcs(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &[])?;
+    let opts = Options::parse(rest, &[], &["show"])?;
     let [a, b] = two_operands(&opts)?;
     let score = prefix_rowmajor(&a, &b);
     let mut out = format!("LCS = {score} (|a| = {}, |b| = {})\n", a.len(), b.len());
@@ -306,7 +315,7 @@ fn cmd_lcs(rest: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_scan(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["window", "min-similarity", "top"])?;
+    let opts = Options::parse(rest, &["window", "min-similarity", "top"], &[])?;
     let [pattern, text] = two_operands(&opts)?;
     if pattern.is_empty() || text.is_empty() {
         return Err(err("scan requires non-empty pattern and text"));
@@ -344,7 +353,7 @@ fn cmd_scan(rest: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_edit(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["window"])?;
+    let opts = Options::parse(rest, &["window"], &[])?;
     let [pattern, text] = two_operands(&opts)?;
     if text.is_empty() {
         return Err(err("edit requires a non-empty text"));
@@ -361,7 +370,7 @@ fn cmd_edit(rest: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_cluster(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["cut"])?;
+    let opts = Options::parse(rest, &["cut"], &[])?;
     if opts.positional.is_empty() {
         return Err(err("cluster requires at least one FASTA file"));
     }
@@ -402,7 +411,7 @@ fn render_tree(t: &Dendrogram, names: &[String], indent: usize, out: &mut String
 }
 
 fn cmd_braid(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &[])?;
+    let opts = Options::parse(rest, &[], &[])?;
     let [a, b] = two_operands(&opts)?;
     if a.len() > 40 || b.len() > 60 {
         return Err(err("braid rendering is for small inputs (|a| ≤ 40, |b| ≤ 60)"));
@@ -507,6 +516,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
             "slo-depth",
             "slo-budget",
         ],
+        &["no-trace", "smoke"],
     )?;
     let addr = opts.value("addr").unwrap_or("127.0.0.1:7171").to_string();
     let engine = std::sync::Arc::new(engine_from_opts(&opts)?);
@@ -738,7 +748,7 @@ fn profile_section(profile: &[String]) -> String {
 /// forever; the default single frame makes the command
 /// scriptable/testable.
 fn cmd_top(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["addr", "interval", "count"])?;
+    let opts = Options::parse(rest, &["addr", "interval", "count"], &[])?;
     let addr = opts.value("addr").unwrap_or("127.0.0.1:7171");
     let interval_ms: u64 = opts.value_parsed("interval")?.unwrap_or(1000);
     let count: usize = opts.value_parsed("count")?.unwrap_or(1);
@@ -771,7 +781,7 @@ fn cmd_top(rest: &[String]) -> Result<String, CliError> {
 /// `slowest [N]`, `class C [N]`, `reason R [N]`, `captures`, or a
 /// plain record count.
 fn cmd_audit(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["addr"])?;
+    let opts = Options::parse(rest, &["addr"], &[])?;
     let addr = opts.value("addr").unwrap_or("127.0.0.1:7171");
     let mut cmd = String::from("AUDIT");
     for arg in &opts.positional {
@@ -864,6 +874,7 @@ fn cmd_bench_engine(rest: &[String]) -> Result<String, CliError> {
             "requests", "pairs", "len", "sigma", "window", "workers", "queue", "cache", "seed",
             "trace",
         ],
+        &[],
     )?;
     let trace_path = opts.value("trace").map(str::to_string);
     let requests: usize = opts.value_parsed("requests")?.unwrap_or(200);
@@ -961,9 +972,9 @@ fn median_time<R>(runs: usize, mut f: impl FnMut() -> R) -> std::time::Duration 
 /// under machine noise — contention only ever inflates a sample, so
 /// the fastest observation is the closest to the true cost. `bench-obs`
 /// uses it because its output is a *difference* of timings, and
-/// `bench-baseline` / `tune` because their outputs are *ratios* of
-/// timings, both of which the median leaves far too noisy for
-/// `xtask perf-gate` at quick sizes.
+/// `bench-baseline` because its output is a *ratio* of timings, both
+/// of which the median leaves far too noisy for `xtask perf-gate` at
+/// quick sizes.
 fn min_time<R>(runs: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
     std::hint::black_box(f());
     let mut best = std::time::Duration::MAX;
@@ -975,11 +986,57 @@ fn min_time<R>(runs: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
     best
 }
 
-fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
-    use slcs_semilocal::Scheduling;
+/// [`min_time`] for `N` variants of one workload, interleaved: each of
+/// `runs` rounds (after one warmup round) runs `run(0)`, …, `run(N−1)`
+/// back to back, so machine drift during the batch hits every variant
+/// alike. `bench-obs` and `bench-profile` report *differences* of these
+/// minima, which separate batches leave dominated by drift once the
+/// measured sweep is only ~1 ms long.
+fn interleaved_min<const N: usize>(
+    runs: usize,
+    mut run: impl FnMut(usize),
+) -> [std::time::Duration; N] {
+    let mut best = [std::time::Duration::MAX; N];
+    for round in 0..=runs.max(1) {
+        for (variant, slot) in best.iter_mut().enumerate() {
+            let t = std::time::Instant::now();
+            run(variant);
+            if round > 0 {
+                *slot = (*slot).min(t.elapsed());
+            }
+        }
+    }
+    best
+}
 
-    let opts =
-        Options::parse(rest, &["sizes", "threads", "grain", "runs", "out", "seed", "trace"])?;
+/// `slcs bench-baseline` — the wavefront schedule benchmark
+/// (`BENCH_pool.json`). Per size it times the sequential sweep (`seq`,
+/// t=1) and, at every thread count ≥ 2, the work-stealing sweep at each
+/// `--grain` (`work_steal`) plus the `planned` row: the route
+/// [`slcs_semilocal::auto_plan`] picks for that grid and budget at the
+/// production grain. A planned route already timed (seq, or work_steal
+/// at a swept grain) reuses that timing — it is the same code, and
+/// re-timing it would only add replicate noise.
+fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
+    use slcs_semilocal::{auto_plan, par_antidiag_combing_branchless_sched, Scheduling};
+
+    /// One artifact row; `route` is set on planned rows, `grain` on
+    /// parallel ones.
+    struct Row {
+        size: usize,
+        threads: usize,
+        mode: &'static str,
+        route: Option<&'static str>,
+        grain: Option<usize>,
+        ns: f64,
+        ms: f64,
+    }
+
+    let opts = Options::parse(
+        rest,
+        &["sizes", "threads", "grain", "runs", "out", "seed", "trace"],
+        &["quick"],
+    )?;
     let quick = opts.has("quick");
     let sizes = list_flag(&opts, "sizes", if quick { &[1024] } else { &[4096, 16384] })?;
     let threads = list_flag(&opts, "threads", if quick { &[1, 2] } else { &[1, 2, 4, 8] })?;
@@ -987,58 +1044,98 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     // budget in the sweep can actually form a full team (the production
     // default of 8192 would cap the 16384² grid at two chunks per
     // diagonal and leave 6 of 8 members idle).
-    let default_grain = if quick { 256 } else { 2048 };
-    let grain: usize = opts.value_parsed("grain")?.unwrap_or(default_grain).max(1);
+    let grains = list_flag(&opts, "grain", if quick { &[256] } else { &[2048] })?;
+    if grains.is_empty() || grains.contains(&0) {
+        return Err(err("bench-baseline: --grain needs one or more positive grains"));
+    }
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(if quick { 1 } else { 3 });
     let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
     let out_path = opts.value("out").unwrap_or("BENCH_pool.json").to_string();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let isa = slcs_semilocal::simd_support();
 
-    let modes: [(&str, Scheduling); 5] = [
-        ("spawn_per_diag", Scheduling::SpawnPerDiag),
-        ("pool_per_diag", Scheduling::PoolPerDiag),
-        ("team", Scheduling::Team),
-        ("work_steal", Scheduling::WorkSteal),
-        // Auto consults the loaded tuning profile (and its own grain),
-        // so its row shows what production dispatch actually gets.
-        ("auto", Scheduling::Auto),
-    ];
-    let mut rows = Vec::new(); // (size, threads, mode, ns_per_cell, millis)
+    let mut rows: Vec<Row> = Vec::new();
     let mut report = String::from("anti-diagonal combing scheduling benchmark\n");
-    writeln!(report, "grain={grain} runs={runs} sizes={sizes:?} threads={threads:?}").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(
+        report,
+        "grains={grains:?} plan_grain={} runs={runs} sizes={sizes:?} threads={threads:?} \
+         nproc={nproc} isa={isa}",
+        slcs_semilocal::PAR_GRAIN
+    )
+    .unwrap(); // PANIC: fmt to String is infallible
     for &n in &sizes {
         let mut rng = slcs_datagen::seeded_rng(seed);
         let a = slcs_datagen::uniform_string(&mut rng, n, 4);
         let b = slcs_datagen::uniform_string(&mut rng, n, 4);
         let cells = (n as f64) * (n as f64);
-        // min-of-N, not median-of-N: perf-gate compares mode *ratios*,
+        // min-of-N, not median-of-N: perf-gate compares row *ratios*,
         // and contention only ever inflates a sample (see `min_time`).
-        let d = min_time(runs, || slcs_semilocal::antidiag_combing_branchless(&a, &b));
-        let seq_ns = d.as_nanos() as f64 / cells;
-        rows.push((n, 1usize, "seq", seq_ns, d.as_secs_f64() * 1e3));
-        writeln!(report, "  {n}x{n}  seq              t=1  {seq_ns:8.3} ns/cell").unwrap(); // PANIC: fmt to String is infallible
-        for &t in &threads {
+        // Returns (ns/cell, millis).
+        let time = |sched: Scheduling, g: usize| {
+            let d = min_time(runs, || par_antidiag_combing_branchless_sched(&a, &b, sched, g));
+            (d.as_nanos() as f64 / cells, d.as_secs_f64() * 1e3)
+        };
+        let (seq_ns, seq_ms) = time(Scheduling::Seq, 1);
+        rows.push(Row {
+            size: n,
+            threads: 1,
+            mode: "seq",
+            route: None,
+            grain: None,
+            ns: seq_ns,
+            ms: seq_ms,
+        });
+        writeln!(report, "  {n}x{n}  seq                     t=1  {seq_ns:8.3} ns/cell").unwrap(); // PANIC: fmt to String is infallible
+        for &t in threads.iter().filter(|&&t| t >= 2) {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(t)
                 .build()
                 .map_err(|e| err(e.to_string()))?;
-            for (name, sched) in modes {
-                let d = pool.install(|| {
-                    min_time(runs, || {
-                        slcs_semilocal::par_antidiag_combing_branchless_sched(&a, &b, sched, grain)
-                    })
+            for &g in &grains {
+                let (ns, ms) = pool.install(|| time(Scheduling::WorkSteal, g));
+                rows.push(Row {
+                    size: n,
+                    threads: t,
+                    mode: "work_steal",
+                    route: None,
+                    grain: Some(g),
+                    ns,
+                    ms,
                 });
-                let ns = d.as_nanos() as f64 / cells;
-                rows.push((n, t, name, ns, d.as_secs_f64() * 1e3));
                 writeln!(
                     report,
-                    "  {n}x{n}  {name:<16} t={t}  {ns:8.3} ns/cell  ({:.2}x vs spawn-baseline)",
-                    rows.iter()
-                        .find(|r| r.0 == n && r.1 == t && r.2 == "spawn_per_diag")
-                        .map(|r| r.3 / ns)
-                        .unwrap_or(1.0)
+                    "  {n}x{n}  work_steal grain={g:<6} t={t}  {ns:8.3} ns/cell  \
+                     ({:.2}x seq time)",
+                    ns / seq_ns
                 )
                 .unwrap(); // PANIC: fmt to String is infallible
             }
+            let (route, plan_grain) = auto_plan(n, n, t);
+            let (ns, ms) = match route {
+                Scheduling::Seq => (seq_ns, seq_ms),
+                Scheduling::WorkSteal => match rows.iter().find(|r| {
+                    (r.size, r.threads, r.mode, r.grain) == (n, t, "work_steal", Some(plan_grain))
+                }) {
+                    Some(r) => (r.ns, r.ms),
+                    None => pool.install(|| time(Scheduling::WorkSteal, plan_grain)),
+                },
+            };
+            rows.push(Row {
+                size: n,
+                threads: t,
+                mode: "planned",
+                route: Some(route.token()),
+                grain: Some(plan_grain),
+                ns,
+                ms,
+            });
+            writeln!(
+                report,
+                "  {n}x{n}  planned ({:<10})    t={t}  {ns:8.3} ns/cell  ({:.2}x seq time)",
+                route.token(),
+                ns / seq_ns
+            )
+            .unwrap(); // PANIC: fmt to String is infallible
         }
     }
 
@@ -1047,16 +1144,22 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     writeln!(json, "  \"algorithm\": \"par_antidiag_combing_branchless\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"unit\": \"ns_per_cell\",").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"par_grain\": {grain},").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"nproc\": {nproc},").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"isa\": \"{isa}\",").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"grains\": {grains:?},").unwrap(); // PANIC: fmt to String is infallible
+    writeln!(json, "  \"plan_grain\": {},", slcs_semilocal::PAR_GRAIN).unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"pool_spawned_workers\": {},", rayon::pool_spawned_workers()).unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, t, mode, ns, ms)) in rows.iter().enumerate() {
+    for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
+        let route = r.route.map(|v| format!(", \"route\": \"{v}\"")).unwrap_or_default();
+        let grain = r.grain.map(|g| format!(", \"grain\": {g}")).unwrap_or_default();
         writeln!(
             json,
-            "    {{\"size\": {n}, \"threads\": {t}, \"mode\": \"{mode}\", \
-             \"ns_per_cell\": {ns:.4}, \"millis\": {ms:.3}}}{comma}"
+            "    {{\"size\": {}, \"threads\": {}, \"mode\": \"{}\"{route}{grain}, \
+             \"ns_per_cell\": {:.4}, \"millis\": {:.3}}}{comma}",
+            r.size, r.threads, r.mode, r.ns, r.ms
         )
         .unwrap(); // PANIC: fmt to String is infallible
     }
@@ -1067,8 +1170,8 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
 
     if let Some(trace_path) = opts.value("trace") {
         // One extra traced pass, separate from the timed runs above so
-        // tracing cannot skew the reported numbers: a team-scheduled
-        // sweep (wavefront.diag + pool.job + team.* spans) plus a short
+        // tracing cannot skew the reported numbers: a work-stealing
+        // sweep (wavefront.chunk + pool.job + team.* spans) plus a short
         // engine phase (engine.request spans), all in one timeline.
         let n = sizes.iter().copied().max().unwrap_or(1024);
         let t = threads.iter().copied().max().unwrap_or(2);
@@ -1082,7 +1185,7 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
         // Clamp the grain so the sweep actually forms a team (a grain
         // at or above n/t would fall back to the sequential path and
         // record no wavefront spans).
-        let trace_grain = grain.min((n / t.max(1)).max(1));
+        let trace_grain = grains[0].min((n / t.max(1)).max(1));
         // Profiling on for the traced pass: each phase transition then
         // emits a pool.worker_phase instant into the worker's lane, so
         // the artifact carries the full profiler surface that
@@ -1090,9 +1193,10 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
         rayon::set_profiling(true);
         slcs_trace::enable_fresh();
         pool.install(|| {
-            std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_grain(
+            std::hint::black_box(par_antidiag_combing_branchless_sched(
                 &a,
                 &b,
+                Scheduling::WorkSteal,
                 trace_grain,
             ))
         });
@@ -1127,109 +1231,8 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// `slcs tune` — calibrates the measured scheduling cost model behind
-/// `Scheduling::Auto`.
-///
-/// For every `(size, threads)` sweep point it times each fixed parallel
-/// mode (`Scheduling::FIXED`) at each candidate grain (min-of-N, one
-/// warmup) and records the winning `(mode, grain)`. The winners are
-/// fitted into per-thread-bucket area bands — each band's `max_area`
-/// is the midpoint between adjacent measured grid areas, the largest
-/// band is unbounded — and written as a versioned
-/// `slcs_semilocal::TuningProfile` (default `perf/tuning.json`, the
-/// path `Scheduling::Auto` loads at dispatch time).
-fn cmd_tune(rest: &[String]) -> Result<String, CliError> {
-    use slcs_semilocal::{Scheduling, TuningEntry, TuningProfile, TUNING_VERSION};
-
-    let opts = Options::parse(rest, &["sizes", "threads", "grains", "runs", "out", "seed"])?;
-    let quick = opts.has("quick");
-    let sizes = list_flag(&opts, "sizes", if quick { &[512, 1024] } else { &[2048, 8192, 16384] })?;
-    let threads = list_flag(&opts, "threads", if quick { &[1, 2] } else { &[1, 2, 4, 8] })?;
-    let grains = list_flag(&opts, "grains", if quick { &[256] } else { &[1024, 4096, 16384] })?;
-    let runs: usize = opts.value_parsed("runs")?.unwrap_or(if quick { 1 } else { 3 });
-    let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
-    let out_path = opts.value("out").unwrap_or("perf/tuning.json").to_string();
-    if sizes.is_empty() || threads.is_empty() || grains.is_empty() {
-        return Err(err("tune: --sizes, --threads and --grains must be non-empty"));
-    }
-
-    let mut report = String::from("scheduling cost-model calibration\n");
-    writeln!(report, "sizes={sizes:?} threads={threads:?} grains={grains:?} runs={runs}").unwrap(); // PANIC: fmt to String is infallible
-
-    // entries[t] = Vec<(area, mode, grain)>, one winner per size,
-    // ascending in size (list_flag preserves user order; sort anyway).
-    let mut sorted_sizes = sizes.clone();
-    sorted_sizes.sort_unstable();
-    sorted_sizes.dedup();
-    let mut entries: Vec<TuningEntry> = Vec::new();
-    for &t in &threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .map_err(|e| err(e.to_string()))?;
-        let mut winners: Vec<(u64, Scheduling, usize)> = Vec::new();
-        for &n in &sorted_sizes {
-            let mut rng = slcs_datagen::seeded_rng(seed);
-            let a = slcs_datagen::uniform_string(&mut rng, n, 4);
-            let b = slcs_datagen::uniform_string(&mut rng, n, 4);
-            let cells = (n as f64) * (n as f64);
-            let mut best: Option<(std::time::Duration, Scheduling, usize)> = None;
-            for mode in Scheduling::FIXED {
-                for &g in &grains {
-                    let d = pool.install(|| {
-                        min_time(runs, || {
-                            slcs_semilocal::par_antidiag_combing_branchless_sched(&a, &b, mode, g)
-                        })
-                    });
-                    writeln!(
-                        report,
-                        "  {n}x{n} t={t} {:<16} grain={g:<6} {:8.3} ns/cell",
-                        mode.token(),
-                        d.as_nanos() as f64 / cells
-                    )
-                    .unwrap(); // PANIC: fmt to String is infallible
-                    if best.is_none_or(|(bd, _, _)| d < bd) {
-                        best = Some((d, mode, g));
-                    }
-                }
-            }
-            // PANIC: FIXED and grains are non-empty, so a best exists
-            let (d, mode, g) = best.unwrap();
-            writeln!(
-                report,
-                "  {n}x{n} t={t} -> {} grain={g} ({:.3} ns/cell)",
-                mode.token(),
-                d.as_nanos() as f64 / cells
-            )
-            .unwrap(); // PANIC: fmt to String is infallible
-            winners.push((n as u64 * n as u64, mode, g));
-        }
-        // Fit the winners into area bands: each band reaches halfway to
-        // the next measured area, the last is the bucket's catch-all.
-        for (i, &(area, mode, grain)) in winners.iter().enumerate() {
-            let max_area = match winners.get(i + 1) {
-                Some(&(next, _, _)) => area + (next - area) / 2,
-                None => 0,
-            };
-            entries.push(TuningEntry { threads: t, max_area, mode, grain });
-        }
-    }
-
-    let profile = TuningProfile { version: TUNING_VERSION, entries };
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| err(format!("cannot create {}: {e}", parent.display())))?;
-        }
-    }
-    std::fs::write(&out_path, profile.to_json())
-        .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
-    Ok(report)
-}
-
 /// `slcs bench-obs` — the observability tax, measured three ways on the
-/// same team-scheduled wavefront sweep:
+/// same work-stealing wavefront sweep:
 ///
 /// * `untraced` — instrumentation compiled out (`TRACED = false`);
 /// * `disabled` — instrumented build, tracing off (the production
@@ -1245,7 +1248,8 @@ fn cmd_tune(rest: &[String]) -> Result<String, CliError> {
 /// `overhead_recorder_percent` is that delta; `cargo xtask perf-gate`
 /// holds it to the same slack as the trace overheads.
 fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["size", "threads", "grain", "runs", "out", "seed"])?;
+    let opts =
+        Options::parse(rest, &["size", "threads", "grain", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let size: usize = opts.value_parsed("size")?.unwrap_or(if quick { 1024 } else { 16384 });
     let threads: usize = opts.value_parsed("threads")?.unwrap_or(if quick { 2 } else { 8 }).max(1);
@@ -1262,16 +1266,29 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
         .build()
         .map_err(|e| err(e.to_string()))?;
 
-    slcs_trace::set_enabled(false);
-    let untraced = pool.install(|| {
-        min_time(runs, || slcs_semilocal::par_antidiag_combing_branchless_untraced(&a, &b, grain))
-    });
-    let disabled = pool.install(|| {
-        min_time(runs, || slcs_semilocal::par_antidiag_combing_branchless_grain(&a, &b, grain))
-    });
-    slcs_trace::enable_fresh();
-    let enabled = pool.install(|| {
-        min_time(runs, || slcs_semilocal::par_antidiag_combing_branchless_grain(&a, &b, grain))
+    // Each enabled sweep starts a fresh trace, so no sweep records into
+    // buffers the previous rounds filled: the event counts reported
+    // below are those of one traced sweep, with nothing dropped.
+    let [untraced, disabled, enabled] = pool.install(|| {
+        interleaved_min(runs, |variant| {
+            if variant == 2 {
+                slcs_trace::enable_fresh();
+            } else {
+                slcs_trace::set_enabled(false);
+            }
+            if variant == 0 {
+                std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_untraced(
+                    &a, &b, grain,
+                ));
+            } else {
+                std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_sched(
+                    &a,
+                    &b,
+                    slcs_semilocal::Scheduling::WorkSteal,
+                    grain,
+                ));
+            }
+        })
     });
     slcs_trace::set_enabled(false);
     let trace_stats = slcs_trace::stats();
@@ -1313,8 +1330,8 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
         ..base_config.clone()
     });
     let rec_on_engine = slcs_engine::Engine::new(base_config);
-    let rec_off = min_time(runs, || batch(&rec_off_engine));
-    let rec_on = min_time(runs, || batch(&rec_on_engine));
+    let [rec_off, rec_on] =
+        interleaved_min(runs, |v| batch(if v == 0 { &rec_off_engine } else { &rec_on_engine }));
     drop(rec_off_engine);
     drop(rec_on_engine);
     let rec_pct = 100.0 * (rec_on.as_secs_f64() - rec_off.as_secs_f64()) / rec_off.as_secs_f64();
@@ -1333,7 +1350,7 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
     writeln!(report, "  enabled  (recording)     {:9.2} ms  ({en_pct:+.2}%)", ms(enabled)).unwrap(); // PANIC: fmt to String is infallible
     writeln!(
         report,
-        "  events recorded {} / dropped {} across {} thread buffer(s)",
+        "  one traced sweep: events recorded {} / dropped {} across {} thread buffer(s)",
         trace_stats.recorded, trace_stats.dropped, trace_stats.threads
     )
     .unwrap(); // PANIC: fmt to String is infallible
@@ -1383,7 +1400,7 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
 fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
     use slcs_perm::Permutation;
 
-    let opts = Options::parse(rest, &["size", "mults", "runs", "out", "seed"])?;
+    let opts = Options::parse(rest, &["size", "mults", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let size: usize = opts.value_parsed("size")?.unwrap_or(if quick { 512 } else { 8192 }).max(1);
     let mults: usize = opts.value_parsed("mults")?.unwrap_or(if quick { 4 } else { 8 }).max(1);
@@ -1511,7 +1528,7 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
 /// period 4 and period 64 bases with scattered mutations — where
 /// matching runs are long on many diagonals at once.
 fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(rest, &["sizes", "runs", "out", "seed"])?;
+    let opts = Options::parse(rest, &["sizes", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let sizes =
         list_flag(&opts, "sizes", if quick { &[1024, 4096] } else { &[4096, 16384, 65536] })?;
@@ -1705,7 +1722,6 @@ fn profile_delta(
 fn profile_workload(
     workload: &str,
     size: usize,
-    sched: slcs_semilocal::Scheduling,
     grain: usize,
     seed: u64,
 ) -> Result<(Box<dyn Fn()>, Box<dyn Fn()>), CliError> {
@@ -1721,7 +1737,10 @@ fn profile_workload(
                 }),
                 Box::new(move || {
                     std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_sched(
-                        &a, &b, sched, grain,
+                        &a,
+                        &b,
+                        slcs_semilocal::Scheduling::WorkSteal,
+                        grain,
                     ));
                 }),
             ))
@@ -1754,11 +1773,10 @@ fn profile_workload(
 /// workload. `--trace FILE` additionally writes the Chrome timeline,
 /// one named lane per pool worker.
 fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
-    use slcs_semilocal::Scheduling;
-
     let opts = Options::parse(
         rest,
-        &["size", "threads", "sched", "grain", "topk", "runs", "trace", "seed"],
+        &["size", "threads", "grain", "topk", "runs", "trace", "seed"],
+        &["quick"],
     )?;
     let quick = opts.has("quick");
     let workload = match opts.positional.as_slice() {
@@ -1772,15 +1790,8 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
     let topk: usize = opts.value_parsed("topk")?.unwrap_or(5).max(1);
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(1);
     let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
-    let sched_token = opts.value("sched").unwrap_or("team");
-    let sched = Scheduling::from_token(sched_token).ok_or_else(|| {
-        err(format!(
-            "unknown --sched '{sched_token}' \
-             (spawn_per_diag | pool_per_diag | team | work_steal | auto)"
-        ))
-    })?;
 
-    let (seq_run, par_run) = profile_workload(workload, size, sched, grain, seed)?;
+    let (seq_run, par_run) = profile_workload(workload, size, grain, seed)?;
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -1807,8 +1818,7 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
     let ms = |ns: u64| ns as f64 / 1e6;
     let mut out = format!(
         "parallelism profile: {workload} size {size}, {threads} thread(s), \
-         sched {}, grain {grain}\n",
-        sched.token()
+         sched work_steal, grain {grain}\n"
     );
     writeln!(out, "  T1 (sequential)  {:9.2} ms", t1.as_secs_f64() * 1e3).unwrap(); // PANIC: fmt to String is infallible
     writeln!(
@@ -1882,10 +1892,10 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
 }
 
 /// `slcs bench-profile` — the profiler's benchmark artifact
-/// (`BENCH_profile.json`): per-(size, threads, mode) pool utilization
-/// and critical-path parallelism for the team, pool-per-diag and
-/// work-steal wavefront schedules, plus the profiler's own overhead at
-/// the largest sweep point, measured twice:
+/// (`BENCH_profile.json`): per-(size, threads) pool utilization and
+/// critical-path parallelism of the work-stealing wavefront sweep, plus
+/// the profiler's own overhead at the largest sweep point, measured
+/// twice:
 ///
 /// * `overhead_off_percent` — an A/A run (profiling off vs profiling
 ///   off): the disabled profiler costs one relaxed load per phase
@@ -1894,9 +1904,8 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
 /// * `overhead_on_percent` — profiling on (tracing off) vs off: the
 ///   full cost of live phase accounting.
 fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
-    use slcs_semilocal::Scheduling;
-
-    let opts = Options::parse(rest, &["sizes", "threads", "grain", "runs", "out", "seed"])?;
+    let opts =
+        Options::parse(rest, &["sizes", "threads", "grain", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let sizes = list_flag(&opts, "sizes", if quick { &[512] } else { &[16384] })?;
     let threads = list_flag(&opts, "threads", if quick { &[1, 2] } else { &[1, 2, 4, 8] })?;
@@ -1908,11 +1917,14 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
         return Err(err("bench-profile: --sizes and --threads must be non-empty"));
     }
 
-    let modes: [(&str, Scheduling); 3] = [
-        ("team", Scheduling::Team),
-        ("pool_per_diag", Scheduling::PoolPerDiag),
-        ("work_steal", Scheduling::WorkSteal),
-    ];
+    let sweep = |a: &[u8], b: &[u8]| {
+        std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_sched(
+            a,
+            b,
+            slcs_semilocal::Scheduling::WorkSteal,
+            grain,
+        ));
+    };
     let max_threads = threads.iter().copied().max().unwrap_or(1);
     // Stabilize the spawned-worker set before any profiled window:
     // utilization is relative to every spawned pool worker, so the set
@@ -1921,9 +1933,9 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
 
     let mut report = String::from("parallelism profiler benchmark\n");
     writeln!(report, "grain={grain} runs={runs} sizes={sizes:?} threads={threads:?}").unwrap(); // PANIC: fmt to String is infallible
-                                                                                                // (size, threads, mode, util, pi, busy, steal, idle, barrier, millis)
+                                                                                                // (size, threads, util, pi, busy, steal, idle, barrier, millis)
     #[allow(clippy::type_complexity)]
-    let mut rows: Vec<(usize, usize, &str, f64, f64, u64, u64, u64, u64, f64)> = Vec::new();
+    let mut rows: Vec<(usize, usize, f64, f64, u64, u64, u64, u64, f64)> = Vec::new();
     for &n in &sizes {
         let mut rng = slcs_datagen::seeded_rng(seed);
         let a = slcs_datagen::uniform_string(&mut rng, n, 4);
@@ -1933,44 +1945,37 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
                 .num_threads(t)
                 .build()
                 .map_err(|e| err(e.to_string()))?;
-            for (name, sched) in modes {
-                rayon::set_profiling(true);
-                slcs_trace::enable_fresh();
-                let before = rayon::pool_profile();
-                let t0 = std::time::Instant::now();
-                pool.install(|| {
-                    std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_sched(
-                        &a, &b, sched, grain,
-                    ))
-                });
-                let wall = t0.elapsed();
-                let after = rayon::pool_profile();
-                slcs_trace::set_enabled(false);
-                rayon::set_profiling(false);
-                let crit = slcs_trace::drain().critical_path();
-                let d = profile_delta(&before, &after);
-                let busy: u64 = d.iter().map(|w| w.busy_ns).sum();
-                let steal: u64 = d.iter().map(|w| w.steal_ns).sum();
-                let idle: u64 = d.iter().map(|w| w.idle_ns).sum();
-                let barrier: u64 = d.iter().map(|w| w.barrier_ns).sum();
-                let attributed = busy + steal + idle + barrier;
-                let util = if attributed > 0 { busy as f64 / attributed as f64 } else { 0.0 };
-                let pi = crit.parallelism();
-                let millis = wall.as_secs_f64() * 1e3;
-                writeln!(
-                    report,
-                    "  {n}x{n}  {name:<14} t={t}  util {:5.1}%  parallelism {pi:5.2}  \
-                     {millis:9.2} ms",
-                    100.0 * util
-                )
-                .unwrap(); // PANIC: fmt to String is infallible
-                rows.push((n, t, name, util, pi, busy, steal, idle, barrier, millis));
-            }
+            rayon::set_profiling(true);
+            slcs_trace::enable_fresh();
+            let before = rayon::pool_profile();
+            let t0 = std::time::Instant::now();
+            pool.install(|| sweep(&a, &b));
+            let wall = t0.elapsed();
+            let after = rayon::pool_profile();
+            slcs_trace::set_enabled(false);
+            rayon::set_profiling(false);
+            let crit = slcs_trace::drain().critical_path();
+            let d = profile_delta(&before, &after);
+            let busy: u64 = d.iter().map(|w| w.busy_ns).sum();
+            let steal: u64 = d.iter().map(|w| w.steal_ns).sum();
+            let idle: u64 = d.iter().map(|w| w.idle_ns).sum();
+            let barrier: u64 = d.iter().map(|w| w.barrier_ns).sum();
+            let attributed = busy + steal + idle + barrier;
+            let util = if attributed > 0 { busy as f64 / attributed as f64 } else { 0.0 };
+            let pi = crit.parallelism();
+            let millis = wall.as_secs_f64() * 1e3;
+            writeln!(
+                report,
+                "  {n}x{n}  work_steal t={t}  util {:5.1}%  parallelism {pi:5.2}  \
+                 {millis:9.2} ms",
+                100.0 * util
+            )
+            .unwrap(); // PANIC: fmt to String is infallible
+            rows.push((n, t, util, pi, busy, steal, idle, barrier, millis));
         }
     }
 
-    // Profiler overhead at the largest sweep point, team schedule (the
-    // production default for large balanced grids). Tracing stays off:
+    // Profiler overhead at the largest sweep point. Tracing stays off:
     // this isolates the phase-accounting hooks.
     let n = sizes.iter().copied().max().unwrap_or(512);
     let mut rng = slcs_datagen::seeded_rng(seed);
@@ -1980,19 +1985,12 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
         .num_threads(max_threads)
         .build()
         .map_err(|e| err(e.to_string()))?;
-    let sweep = || {
-        std::hint::black_box(slcs_semilocal::par_antidiag_combing_branchless_sched(
-            &a,
-            &b,
-            Scheduling::Team,
-            grain,
-        ));
-    };
-    rayon::set_profiling(false);
-    let off_a = pool.install(|| min_time(runs, sweep));
-    let off_b = pool.install(|| min_time(runs, sweep));
-    rayon::set_profiling(true);
-    let on = pool.install(|| min_time(runs, sweep));
+    let [off_a, off_b, on] = pool.install(|| {
+        interleaved_min(runs, |variant| {
+            rayon::set_profiling(variant == 2);
+            sweep(&a, &b);
+        })
+    });
     rayon::set_profiling(false);
     let off_pct =
         100.0 * (off_b.as_secs_f64() - off_a.as_secs_f64()) / off_a.as_secs_f64().max(1e-9);
@@ -2023,11 +2021,11 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
     writeln!(json, "  \"overhead_off_percent\": {off_pct:.3},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"overhead_on_percent\": {on_pct:.3},").unwrap(); // PANIC: fmt to String is infallible
     writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, t, mode, util, pi, busy, steal, idle, barrier, millis)) in rows.iter().enumerate() {
+    for (i, (n, t, util, pi, busy, steal, idle, barrier, millis)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         writeln!(
             json,
-            "    {{\"size\": {n}, \"threads\": {t}, \"mode\": \"{mode}\", \
+            "    {{\"size\": {n}, \"threads\": {t}, \"mode\": \"work_steal\", \
              \"utilization\": {util:.4}, \"parallelism\": {pi:.4}, \"busy_ns\": {busy}, \
              \"steal_ns\": {steal}, \"idle_ns\": {idle}, \"barrier_ns\": {barrier}, \
              \"millis\": {millis:.3}}}{comma}"
@@ -2271,64 +2269,54 @@ mod tests {
     fn bench_baseline_quick_writes_json() {
         let out = std::env::temp_dir().join("slcs_bench_pool_test.json");
         let path = out.display().to_string();
-        let text = run(
-            "bench-baseline",
-            &["--quick", "--sizes", "256", "--threads", "1,2", "--runs", "1", "--out", &path],
-        )
-        .unwrap();
+        let args = ["--quick", "--sizes", "256", "--threads", "1,2", "--grain", "64,256"];
+        let text =
+            run("bench-baseline", &[&args[..], &["--runs", "1", "--out", &path]].concat()).unwrap();
         assert!(text.contains("ns/cell"), "{text}");
-        assert!(text.contains("team"), "{text}");
+        assert!(text.contains("work_steal"), "{text}");
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"mode\": \"team\""), "{json}");
-        assert!(json.contains("\"mode\": \"spawn_per_diag\""), "{json}");
-        assert!(json.contains("\"mode\": \"work_steal\""), "{json}");
-        assert!(json.contains("\"mode\": \"auto\""), "{json}");
-        assert!(json.contains("\"par_grain\": "), "{json}");
+        assert!(json.contains("\"threads\": 1, \"mode\": \"seq\", \"ns_per_cell\""), "{json}");
+        for g in [64, 256] {
+            let row = format!("\"threads\": 2, \"mode\": \"work_steal\", \"grain\": {g},");
+            assert!(json.contains(&row), "missing {row} in:\n{json}");
+        }
+        // 256² cannot form a team at the production grain: the plan is
+        // the sequential sweep, and its row reuses the seq timing.
+        assert!(
+            json.contains("\"mode\": \"planned\", \"route\": \"seq\", \"grain\": 8192"),
+            "{json}"
+        );
+        assert_eq!(json.matches("\"mode\": ").count(), 4, "{json}");
+        for key in ["\"grains\": [64, 256]", "\"plan_grain\": 8192", "\"nproc\": ", "\"isa\": "] {
+            assert!(json.contains(key), "missing {key} in:\n{json}");
+        }
         assert!(json.contains("\"pool_spawned_workers\": "), "{json}");
         let _ = std::fs::remove_file(out);
         assert!(run("bench-baseline", &["--sizes", "bogus"]).is_err());
+        assert!(run("bench-baseline", &["--grain", "0"]).is_err());
     }
 
+    /// Flags are strict per subcommand: a typo or a removed flag is an
+    /// error naming it, and `--help` runs nothing.
     #[test]
-    fn tune_quick_writes_loadable_profile() {
-        let out = std::env::temp_dir().join("slcs_tune_test.json");
+    fn bench_subcommands_reject_unknown_flags() {
+        let out = std::env::temp_dir().join("slcs_strict_flags_test.json");
         let path = out.display().to_string();
-        let text = run(
-            "tune",
-            &[
-                "--quick",
-                "--sizes",
-                "128,256",
-                "--threads",
-                "1,2",
-                "--grains",
-                "64",
-                "--runs",
-                "1",
-                "--out",
-                &path,
-            ],
-        )
-        .unwrap();
-        assert!(text.contains("ns/cell"), "{text}");
-        assert!(text.contains("[written "), "{text}");
-        let json = std::fs::read_to_string(&out).unwrap();
-        let profile = slcs_semilocal::parse_profile(&json).expect("tune output must parse back");
-        assert_eq!(profile.version, slcs_semilocal::TUNING_VERSION);
-        // One band per (threads bucket, measured size), the last band of
-        // each bucket unbounded and the first reaching halfway to 256².
-        assert_eq!(profile.entries.len(), 4, "{json}");
-        for t in [1usize, 2] {
-            let bucket: Vec<_> = profile.entries.iter().filter(|e| e.threads == t).collect();
-            assert_eq!(bucket.len(), 2, "{json}");
-            assert!(
-                bucket[0].max_area >= 128 * 128 && bucket[0].max_area < 256 * 256,
-                "midpoint band: {json}"
-            );
-            assert_eq!(bucket[1].max_area, 0, "catch-all band: {json}");
+        let _ = std::fs::remove_file(&out);
+        for cmd in
+            ["bench-baseline", "bench-obs", "bench-mem", "bench-osed", "bench-profile", "profile"]
+        {
+            let e = run(cmd, &["--qiuck", "--out", &path]).unwrap_err().0;
+            assert!(e.contains("--qiuck") && e.contains("--quick"), "{cmd}: {e}");
         }
-        let _ = std::fs::remove_file(out);
-        assert!(run("tune", &["--sizes", "bogus"]).is_err());
+        let e = run("bench-engine", &["--qiuck"]).unwrap_err().0;
+        assert!(e.contains("--qiuck") && e.contains("--requests"), "{e}");
+        let e = run("bench-baseline", &["--help", "--out", &path]).unwrap_err().0;
+        assert!(e.contains("unknown flag --help") && e.contains("--sizes"), "{e}");
+        assert!(!out.exists(), "a rejected command wrote {path}");
+        assert!(run("profile", &["--sched", "team", "--quick"]).is_err());
+        assert!(run("tune", &["--quick"]).is_err());
+        assert!(run("lcs", &["--shw", "ab", "ba"]).is_err());
     }
 
     #[test]
@@ -2377,7 +2365,7 @@ mod tests {
         assert!(text.contains("[trace written "), "{text}");
         let json = std::fs::read_to_string(&trace).unwrap();
         for span in [
-            "wavefront.diag",
+            "wavefront.chunk",
             "pool.job",
             "engine.request",
             "team.run",
@@ -2536,7 +2524,6 @@ mod tests {
         assert!(!rayon::profiling_enabled());
         assert!(!slcs_trace::enabled());
         assert!(run("profile", &["bogus-workload", "--quick"]).is_err());
-        assert!(run("profile", &["--sched", "bogus", "--quick"]).is_err());
         assert!(run("profile", &["a", "b"]).is_err());
     }
 
@@ -2591,8 +2578,6 @@ mod tests {
         let json = std::fs::read_to_string(&out).unwrap();
         for key in [
             "\"bench\": \"bench-profile\"",
-            "\"mode\": \"team\"",
-            "\"mode\": \"pool_per_diag\"",
             "\"mode\": \"work_steal\"",
             "\"utilization\"",
             "\"parallelism\"",
@@ -2605,8 +2590,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        // Two thread points x three modes at one size.
-        assert_eq!(json.matches("\"mode\":").count(), 6, "{json}");
+        // Two thread points at one size.
+        assert_eq!(json.matches("\"mode\":").count(), 2, "{json}");
         let _ = std::fs::remove_file(out);
         assert!(run("bench-profile", &["--sizes", "bogus"]).is_err());
         assert!(run("bench-profile", &["--sizes", ""]).is_err());
@@ -2644,11 +2629,15 @@ mod tests {
     fn options_parser_handles_flags_and_values() {
         let args: Vec<String> =
             ["x", "--window", "5", "--show", "y"].iter().map(|s| s.to_string()).collect();
-        let o = Options::parse(&args, &["window"]).unwrap();
+        let o = Options::parse(&args, &["window"], &["show", "quiet"]).unwrap();
         assert_eq!(o.positional, vec!["x", "y"]);
         assert_eq!(o.value_parsed::<usize>("window").unwrap(), Some(5));
         assert!(o.has("show"));
         assert!(!o.has("quiet"));
-        assert!(Options::parse(&["--window".to_string()], &["window"]).is_err());
+        assert!(Options::parse(&["--window".to_string()], &["window"], &[]).is_err());
+        let e = Options::parse(&args, &["window"], &[]).err().unwrap().0;
+        assert_eq!(e, "unknown flag --show (accepted: --window V)");
+        let e = Options::parse(&["--x".to_string()], &[], &[]).err().unwrap().0;
+        assert_eq!(e, "unknown flag --x (accepted: none)");
     }
 }

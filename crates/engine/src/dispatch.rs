@@ -10,11 +10,13 @@
 //!   kernel. Lowest constant factor; right for small grids or one thread.
 //! * **Grid-parallel combing** — the paper's parallel comb; pays
 //!   scheduling overhead, so it only wins on grids large enough to
-//!   amortize it across threads. *Which* parallel schedule runs
-//!   (barrier team, per-diagonal fork/join, work stealing) is resolved
-//!   per request by the measured cost model ([`slcs_semilocal::tuning`],
-//!   fed by `slcs tune`), recorded in `slcs_sched_mode_total{mode}` and
-//!   the `engine.dispatch` instant's `sched` field.
+//!   amortize it across threads. [`slcs_semilocal::auto_plan`] resolves
+//!   the route per request: the barrier-free work-stealing sweep when
+//!   the grid can form a team (`min(m, n) ≥ 2·PAR_GRAIN` and two or more
+//!   threads), the sequential anti-diagonal sweep otherwise. The route
+//!   that ran is recorded in `slcs_sched_mode_total{mode}`, the
+//!   `engine.kernel_build` span and the `engine.dispatch` instant's
+//!   `sched` field.
 //! * **Output-sensitive BFS** (`slcs-osed`) — Landau–Vishkin
 //!   O(d² + n·d/8) edit distance. Wins by orders of magnitude when the
 //!   inputs are nearly equal (small d); on unrelated inputs its edge
@@ -37,7 +39,7 @@ use std::sync::Arc;
 
 use slcs_bitpar::bit_lcs_alphabet;
 use slcs_semilocal::{
-    auto_plan, iterative_combing, par_antidiag_combing_branchless_sched, EditDistances,
+    auto_plan, iterative_combing, par_antidiag_combing_branchless_sched, EditDistances, Scheduling,
     SemiLocalKernel,
 };
 
@@ -72,6 +74,14 @@ pub fn combing_choice(m: usize, n: usize, threads: usize) -> AlgoChoice {
     } else {
         AlgoChoice::GridHybridCombing { tasks: threads }
     }
+}
+
+/// The schedule a grid-parallel comb with a `tasks` budget runs on this
+/// thread. The sweep can form no bigger team than the current rayon
+/// pool, so the budget is capped by it: the plan then names the route
+/// that actually runs.
+fn grid_plan(m: usize, n: usize, tasks: usize) -> (Scheduling, usize) {
+    auto_plan(m, n, tasks.min(rayon::current_num_threads()))
 }
 
 /// Shortest input (both sides) the similarity probe considers. Below
@@ -184,12 +194,10 @@ fn comb(
     let choice = combing_choice(pattern.len(), text.len(), threads);
     match choice {
         AlgoChoice::GridHybridCombing { tasks } => {
-            // The grid-parallel route consults the measured cost model
-            // (`slcs tune` → perf/tuning.json, builtin table otherwise)
-            // for the concrete scheduling mode and grain. The mode is
-            // the `sched` field of the build span (it determines the
-            // algo token, so the span carries sched + area).
-            let (mode, grain) = auto_plan(pattern.len(), text.len(), tasks);
+            // The route that runs (work stealing or the sequential
+            // sweep) is the `sched` field of the build span, so the
+            // span carries sched + area.
+            let (mode, grain) = grid_plan(pattern.len(), text.len(), tasks);
             metrics.note_sched_mode(mode);
             let _build_span = slcs_trace::span!(
                 "engine.kernel_build",
@@ -286,7 +294,7 @@ pub struct Executed {
     pub algo: AlgoChoice,
     pub cache: CacheStatus,
     pub reason: DispatchReason,
-    /// Scheduling-mode token (`"seq"` or a concrete grid mode).
+    /// Scheduling-mode token ([`Scheduling::token`]).
     pub sched: &'static str,
 }
 
@@ -318,15 +326,16 @@ pub fn execute_request(
 ) -> Executed {
     let (payload, algo, cache_status, reason) = execute_inner(req, cache, metrics, threads);
     metrics.note_dispatch(reason);
-    // The scheduling mode a grid-parallel build resolves to is a pure
-    // function of (m, n, threads) and the loaded profile, so it can be
-    // recomputed here for the instant without plumbing it out of comb().
+    // The route a grid-parallel build runs is a pure function of
+    // (m, n, threads), so it can be recomputed here for the instant
+    // without plumbing it out of comb().
     let sched = match algo {
         AlgoChoice::GridHybridCombing { tasks } => {
-            auto_plan(req.pattern.len(), req.text.len(), tasks).0.token()
+            grid_plan(req.pattern.len(), req.text.len(), tasks).0
         }
-        _ => "seq",
-    };
+        _ => Scheduling::Seq,
+    }
+    .token();
     // Three field slots per event: `reason` implies `algo` (see
     // `DispatchReason::algo_token`), so the triple carried here is the
     // routing reason, the resolved scheduling mode, and the request id.

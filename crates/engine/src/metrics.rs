@@ -160,10 +160,9 @@ pub struct Metrics {
     /// Dispatch decisions, one counter per [`DispatchReason`] (indexed
     /// by [`DispatchReason::index`]) — the `slcs_dispatch_total` series.
     pub dispatch: [AtomicU64; DispatchReason::COUNT],
-    /// Resolved scheduling modes of grid-parallel kernel builds, one
-    /// counter per [`SCHED_MODE_TOKENS`] label — the
-    /// `slcs_sched_mode_total` series. `Auto` requests are counted
-    /// under the concrete mode the tuning profile resolved them to.
+    /// Routes grid-parallel kernel builds ran, one counter per
+    /// [`SCHED_MODE_TOKENS`] label — the `slcs_sched_mode_total` series.
+    /// A grid too small to form a team counts under `seq`.
     pub sched_modes: [AtomicU64; SCHED_MODE_TOKENS.len()],
     /// Protocol/request errors, one counter per [`ErrorKind`] (indexed
     /// by [`ErrorKind::index`]) — the `slcs_engine_errors_total` series.
@@ -224,8 +223,7 @@ impl ErrorKind {
 /// Label set of the `slcs_sched_mode_total` series, index-aligned with
 /// [`Metrics::sched_modes`] / [`StatsSnapshot::sched_modes`]. Matches
 /// [`slcs_semilocal::Scheduling::token`] values.
-pub const SCHED_MODE_TOKENS: [&str; 5] =
-    ["spawn_per_diag", "pool_per_diag", "team", "work_steal", "auto"];
+pub const SCHED_MODE_TOKENS: [&str; 2] = ["seq", "work_steal"];
 
 impl Metrics {
     pub fn note_depth(&self, depth: u64) {
@@ -245,8 +243,7 @@ impl Metrics {
         self.errors[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records the scheduling mode a grid-parallel kernel build ran
-    /// under (the concrete mode, after `Auto` resolution).
+    /// Records the route a grid-parallel kernel build ran.
     pub fn note_sched_mode(&self, mode: slcs_semilocal::Scheduling) {
         if let Some(i) = SCHED_MODE_TOKENS.iter().position(|t| *t == mode.token()) {
             // ORDERING: Relaxed — independent monotonic metrics counter; nothing is published through it.
@@ -280,7 +277,7 @@ impl Metrics {
             windows: crate::windows::WindowsSnapshot::default(),
             wait_micros: self.wait_micros.snapshot(),
             service_micros: self.service_micros.snapshot(),
-            par_grain: slcs_semilocal::par_grain(),
+            par_grain: slcs_semilocal::PAR_GRAIN,
             simd: slcs_semilocal::simd_support(),
             alloc: slcs_alloc::stats(),
             alloc_installed: slcs_alloc::installed(),
@@ -303,7 +300,7 @@ pub struct StatsSnapshot {
     pub batches: u64,
     /// Dispatch-decision counts, indexed by [`DispatchReason::index`].
     pub dispatch: [u64; DispatchReason::COUNT],
-    /// Grid-parallel scheduling-mode counts, index-aligned with
+    /// Grid-parallel route counts, index-aligned with
     /// [`SCHED_MODE_TOKENS`].
     pub sched_modes: [u64; SCHED_MODE_TOKENS.len()],
     /// Protocol/request error counts, indexed by [`ErrorKind::index`].
@@ -318,10 +315,10 @@ pub struct StatsSnapshot {
     pub max_queue_depth: u64,
     pub wait_micros: HistogramSnapshot,
     pub service_micros: HistogramSnapshot,
-    /// Effective anti-diagonal chunk grain (cells per parallel task),
-    /// resolved once from `SLCS_PAR_GRAIN` — configuration, not a
-    /// counter, but surfaced here so STATS readers can correlate latency
-    /// shifts with scheduling granularity.
+    /// Anti-diagonal chunk grain (cells per parallel task,
+    /// `slcs_semilocal::PAR_GRAIN`) — configuration, not a counter, but
+    /// surfaced here so STATS readers can correlate latency shifts with
+    /// scheduling granularity.
     pub par_grain: usize,
     /// Gauge-at-snapshot: the SIMD capability the branchless kernels
     /// compile/dispatch for on this host (`slcs_semilocal::simd_support`)
@@ -689,13 +686,14 @@ mod tests {
         let m = Metrics::default();
         m.note_sched_mode(slcs_semilocal::Scheduling::WorkSteal);
         m.note_sched_mode(slcs_semilocal::Scheduling::WorkSteal);
-        m.note_sched_mode(slcs_semilocal::Scheduling::Team);
+        m.note_sched_mode(slcs_semilocal::Scheduling::Seq);
         let s = m.snapshot(0);
         assert_eq!(s.sched_modes.iter().sum::<u64>(), 3);
+        assert_eq!(SCHED_MODE_TOKENS, ["seq", "work_steal"]);
         let text = s.to_prometheus();
         assert!(text.contains("# TYPE slcs_sched_mode_total counter"), "{text}");
         assert!(text.contains("slcs_sched_mode_total{mode=\"work_steal\"} 2"), "{text}");
-        assert!(text.contains("slcs_sched_mode_total{mode=\"team\"} 1"), "{text}");
+        assert!(text.contains("slcs_sched_mode_total{mode=\"seq\"} 1"), "{text}");
         // Stable-zero: every mode label appears even when unused.
         for token in SCHED_MODE_TOKENS {
             assert!(text.contains(&format!("mode=\"{token}\"")), "missing {token}:\n{text}");

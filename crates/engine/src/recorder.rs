@@ -56,7 +56,7 @@ pub struct AuditEvent {
     /// Dispatch branch taken; `None` when the request failed before
     /// dispatch finished.
     pub reason: Option<DispatchReason>,
-    /// Scheduling-mode token (`"seq"` or a [`SCHED_MODE_TOKENS`] value).
+    /// Scheduling-mode token (a [`SCHED_MODE_TOKENS`] value).
     pub sched: Option<&'static str>,
     pub cache: Option<CacheStatus>,
     pub wait_ns: u64,
@@ -149,18 +149,8 @@ fn encode_meta(ev: &AuditEvent) -> u64 {
     let reason = ev.reason.map(|r| r.index() as u64).unwrap_or(UNKNOWN as u64);
     let sched = ev
         .sched
-        .map(|token| {
-            if token == "seq" {
-                0u64
-            } else {
-                SCHED_MODE_TOKENS
-                    .iter()
-                    .position(|t| *t == token)
-                    .map(|i| i as u64 + 1)
-                    .unwrap_or(UNKNOWN as u64)
-            }
-        })
-        .unwrap_or(UNKNOWN as u64);
+        .and_then(|token| SCHED_MODE_TOKENS.iter().position(|t| *t == token))
+        .map_or(UNKNOWN as u64, |i| i as u64);
     let cache = ev
         .cache
         .map(|c| match c {
@@ -182,10 +172,7 @@ fn decode_meta(
         .get(reason_ix)
         .map(|r| (r.algo_token(), r.token()))
         .unwrap_or(("?", "?"));
-    let sched = match ((meta >> 16) & 0xff) as usize {
-        0 => "seq",
-        i => SCHED_MODE_TOKENS.get(i - 1).copied().unwrap_or("?"),
-    };
+    let sched = SCHED_MODE_TOKENS.get(((meta >> 16) & 0xff) as usize).copied().unwrap_or("?");
     let cache = match (meta >> 8) & 0xff {
         0 => "hit",
         1 => "miss",

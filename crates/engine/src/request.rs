@@ -105,11 +105,11 @@ pub enum AlgoChoice {
     BitParallel,
     /// Sequential iterative combing → semi-local kernel.
     IterativeCombing,
-    /// Grid-parallel combing under this thread budget. The concrete
-    /// schedule (barrier team, per-diagonal fork/join, work stealing —
-    /// historically Listing 7's hybrid) is resolved per request by the
-    /// measured cost model (`slcs_semilocal::tuning`); the `tasks` field
-    /// and the `"grid"` token name the route, not one fixed kernel.
+    /// Grid-parallel combing under this thread budget (historically
+    /// Listing 7's hybrid). `slcs_semilocal::auto_plan` resolves it per
+    /// request to the work-stealing sweep or, when the grid cannot form
+    /// a team, the sequential sweep; the `tasks` field and the `"grid"`
+    /// token name the route, not one fixed kernel.
     GridHybridCombing { tasks: usize },
     /// Blown-up combing behind the edit-distance index.
     EditIndex,

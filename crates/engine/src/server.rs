@@ -660,6 +660,32 @@ mod tests {
         assert!(verdict.contains("class lcs"), "{verdict}");
     }
 
+    /// A 2048² grid cannot form a work-stealing team (its short side is
+    /// below 2·PAR_GRAIN), so a 2-thread engine combs it sequentially —
+    /// and METRICS and AUDIT both say `seq`, whatever the working
+    /// directory.
+    #[test]
+    fn grid_lcs_too_small_for_a_team_reports_seq() {
+        let engine = Arc::new(Engine::new(EngineConfig {
+            workers: 1,
+            threads_per_request: 2,
+            ..EngineConfig::default()
+        }));
+        let cfg = ServerConfig::default();
+        // 94 printable symbols — past BITPAR_MAX_SIGMA, so LCS combs.
+        let text = |k: usize| -> String {
+            (0..2048usize).map(|i| char::from(b'!' + ((i * k + i / 7) % 94) as u8)).collect()
+        };
+        let reply = respond(&format!("LCS {} {}", text(37), text(53)), &engine, &cfg);
+        assert!(reply.starts_with("OK ") && reply.contains(" grid miss"), "{reply}");
+        let metrics = respond("METRICS", &engine, &cfg);
+        assert!(metrics.contains("slcs_sched_mode_total{mode=\"seq\"} 1"), "{metrics}");
+        assert!(metrics.contains("slcs_sched_mode_total{mode=\"work_steal\"} 0"), "{metrics}");
+        let audit = respond("AUDIT", &engine, &cfg);
+        let record = audit.lines().nth(1).unwrap_or_default();
+        assert!(record.contains("algo=grid") && record.contains("sched=seq"), "{audit}");
+    }
+
     #[test]
     fn audit_dumps_filter_and_terminate_with_eof() {
         let engine = engine();

@@ -17,11 +17,12 @@
 //! * the **16-bit** variant packs strand indices into `u16` when
 //!   `m + n ≤ 2¹⁶`, doubling the SIMD lane count (§4.1, last paragraph).
 //!
-//! Thread-parallel versions split each diagonal across the current rayon
-//! pool, with a synchronization barrier per diagonal — exactly the cost
-//! model discussed in §4.1 of the paper.
-
-use rayon::prelude::*;
+//! Thread-parallel versions split each diagonal longer than
+//! [`PAR_GRAIN`] cells into chunks across one worker team for the whole
+//! sweep.
+//! The paper's Listing 4 pays a barrier per diagonal (the cost model of
+//! §4.1); here the leader hands chunks out through a work-stealing
+//! deque and combs short diagonals alone, so no barrier remains.
 
 use crate::iterative::build_kernel;
 use crate::kernel::SemiLocalKernel;
@@ -161,198 +162,74 @@ pub fn antidiag_combing_u16<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocal
     })
 }
 
-/// Cells per parallel task; below this a diagonal chunk is not worth
-/// handing to another worker. Overridable at process start through the
-/// `SLCS_PAR_GRAIN` environment variable (see [`par_grain`]).
-const PAR_GRAIN: usize = 8 * 1024;
+/// Parallel grain in cells: a diagonal of `len` cells is split into at
+/// most `⌈len / PAR_GRAIN⌉` chunks (capped by the team size), so one no
+/// longer than the grain stays on one thread, and a grid forms a team
+/// only when `min(m, n) ≥ 2 · PAR_GRAIN` (see [`auto_plan`]).
+pub const PAR_GRAIN: usize = 8 * 1024;
 
-/// The effective parallel grain: `SLCS_PAR_GRAIN` from the environment
-/// (first read wins, cached for the process) or the built-in default of
-/// 8192 cells. Zero or unparsable values fall back to the default.
-pub fn par_grain() -> usize {
-    static GRAIN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        std::env::var("SLCS_PAR_GRAIN")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&g| g > 0)
-            .unwrap_or(PAR_GRAIN)
-    })
-}
-
-/// How a thread-parallel sweep schedules its anti-diagonal work.
+/// How [`par_antidiag_combing_branchless_sched`] sweeps the grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduling {
-    /// One `std::thread::scope` spawn/join cycle per anti-diagonal — the
-    /// pre-pool executor's behavior, kept as the benchmark baseline.
-    SpawnPerDiag,
-    /// One persistent-pool fork/join per anti-diagonal (a parallel
-    /// iterator drive per diagonal).
-    PoolPerDiag,
-    /// One worker team pinned for the whole sweep, separating diagonals
-    /// with a barrier — no fork/join on the hot path at all.
-    Team,
+    /// The sequential anti-diagonal sweep
+    /// ([`antidiag_combing_branchless`]).
+    Seq,
     /// One worker team for the whole sweep with **no barrier at all**:
     /// the leader sequences diagonals and publishes chunks through a
     /// Chase–Lev deque; members are free-running steal loops, and short
     /// diagonals are processed by the leader alone with zero
     /// synchronization (see `sweep_wavefront_ws`).
     WorkSteal,
-    /// Pick a mode from the measured tuning profile (`slcs tune`,
-    /// [`crate::tuning`]) for this grid size and thread budget.
-    Auto,
 }
 
 impl Scheduling {
-    /// All concrete (non-[`Auto`](Scheduling::Auto)) modes, benchmark
-    /// sweep order.
-    pub const FIXED: [Scheduling; 4] = [
-        Scheduling::SpawnPerDiag,
-        Scheduling::PoolPerDiag,
-        Scheduling::Team,
-        Scheduling::WorkSteal,
-    ];
-
-    /// Stable wire token, used in BENCH_pool.json rows, tuning profiles
-    /// and METRICS labels.
+    /// Stable wire token, used in BENCH_pool.json rows, METRICS labels
+    /// and the `sched` field of trace events and audit records.
     pub fn token(self) -> &'static str {
         match self {
-            Scheduling::SpawnPerDiag => "spawn_per_diag",
-            Scheduling::PoolPerDiag => "pool_per_diag",
-            Scheduling::Team => "team",
+            Scheduling::Seq => "seq",
             Scheduling::WorkSteal => "work_steal",
-            Scheduling::Auto => "auto",
-        }
-    }
-
-    /// Inverse of [`token`](Scheduling::token).
-    pub fn from_token(token: &str) -> Option<Scheduling> {
-        match token {
-            "spawn_per_diag" => Some(Scheduling::SpawnPerDiag),
-            "pool_per_diag" => Some(Scheduling::PoolPerDiag),
-            "team" => Some(Scheduling::Team),
-            "work_steal" => Some(Scheduling::WorkSteal),
-            "auto" => Some(Scheduling::Auto),
-            _ => None,
         }
     }
 }
 
+/// The schedule and grain a parallel comb of an `m × n` grid runs under
+/// a `threads` budget: [`Scheduling::WorkSteal`] exactly when the sweep
+/// can form a team of two or more (`threads ≥ 2` and
+/// `min(m, n) ≥ 2 · PAR_GRAIN`), [`Scheduling::Seq`] otherwise — the
+/// same sequential sweep the work-stealing driver would fall back to.
+/// A pure function: it reads no file and no environment.
+pub fn auto_plan(m: usize, n: usize, threads: usize) -> (Scheduling, usize) {
+    let mode = if threads >= 2 && m.min(n) >= 2 * PAR_GRAIN {
+        Scheduling::WorkSteal
+    } else {
+        Scheduling::Seq
+    };
+    (mode, PAR_GRAIN)
+}
+
 /// Shared write access to the strand arrays for team members. Each
-/// member only touches the disjoint index range it is assigned for the
-/// current diagonal, and the team barrier orders diagonals, so the
-/// aliasing is benign.
+/// member only touches the disjoint index range of the chunk it holds,
+/// and the leader's `remaining`-counter handshake orders diagonals, so
+/// the aliasing is benign.
 struct SharedStrands<S> {
     ptr: *mut S,
 }
 
-// SAFETY: see the struct docs — members touch disjoint ranges and the team
-// barrier orders diagonals.
+// SAFETY: see the struct docs — members touch disjoint ranges and the
+// counter handshake orders diagonals.
 unsafe impl<S: Send> Sync for SharedStrands<S> {}
 
 impl<S> SharedStrands<S> {
     /// # Safety
     ///
     /// `[lo, hi)` must be in bounds and disjoint from every range any
-    /// other thread accesses between two barriers.
+    /// other thread accesses within the same diagonal.
     #[allow(clippy::mut_from_ref)] // &self is a shared raw-ptr capability; disjointness is the caller's contract above
     unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [S] {
         // SAFETY: in-bounds and disjoint by the function's contract.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
-}
-
-/// Team-scheduled sweep: one team for all `m + n − 1` diagonals, a
-/// barrier per diagonal. Falls back to the plain sequential sweep when
-/// the grid cannot keep a second worker busy (`min(m, n) < 2·grain`
-/// or a 1-thread budget), so callers can use it unconditionally.
-///
-/// `TRACED = false` compiles the span sites out entirely (not even the
-/// enabled-check load remains) — the zero-instrumentation baseline that
-/// `slcs bench-obs` measures disabled-tracing overhead against.
-fn sweep_wavefront<T, S, C, const TRACED: bool>(
-    a: &[T],
-    b: &[T],
-    grain: usize,
-    cell: C,
-) -> SemiLocalKernel
-where
-    T: Eq + Clone + Sync,
-    S: StrandIx,
-    C: Fn(&T, &T, &mut S, &mut S) + Sync,
-{
-    let m = a.len();
-    let n = b.len();
-    if m == 0 || n == 0 {
-        // PANIC: base_kernel never fails when one side is empty.
-        return crate::recursive::base_kernel(a, b).expect("empty grid has a trivial kernel");
-    }
-    let grain = grain.max(1);
-    let team = rayon::current_num_threads().min(m.min(n) / grain).max(1);
-    if team <= 1 {
-        return sweep::<_, S, _>(a, b, |ar, bs, hs, vs| {
-            for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                cell(ac, bc, h, v);
-            }
-        });
-    }
-    let a_rev: Vec<T> = a.iter().rev().cloned().collect();
-    let mut h_strands: Vec<S> = (0..m).map(S::from_usize).collect();
-    let mut v_strands: Vec<S> = (m..m + n).map(S::from_usize).collect();
-    {
-        let h = SharedStrands { ptr: h_strands.as_mut_ptr() };
-        let v = SharedStrands { ptr: v_strands.as_mut_ptr() };
-        let a_rev = &a_rev;
-        let _sweep_span = if TRACED {
-            slcs_trace::span!("wavefront.sweep", "diags" => m + n - 1, "team" => team)
-        } else {
-            None
-        };
-        // Whole-sweep allocation attribution (strand vectors are already
-        // allocated above; a clean sweep allocates nothing per diagonal).
-        let _sweep_mem = slcs_alloc::alloc_scope!("wavefront.sweep.mem");
-        rayon::team_run(team, |view| {
-            for d in 0..(m + n - 1) {
-                let (h0, v0, len) = diag_ranges(m, n, d);
-                // Short diagonals activate fewer members; inactive ones
-                // go straight to the barrier.
-                let active = view.size.min(len.div_ceil(grain)).max(1);
-                if view.id < active {
-                    let chunk = len.div_ceil(active);
-                    let lo = (view.id * chunk).min(len);
-                    let hi = (lo + chunk).min(len);
-                    // One relaxed load per diagonal chunk when tracing
-                    // is off; a Begin/End pair per chunk when on, which
-                    // is what makes load imbalance visible per member.
-                    // `w` stamps the member that combed the slice, so
-                    // the critical-path analyzer can pin barrier
-                    // convoying on specific short diagonals.
-                    let _diag_span = if TRACED {
-                        slcs_trace::span!("wavefront.diag", "d" => d, "len" => hi - lo, "w" => view.id)
-                    } else {
-                        None
-                    };
-                    // SAFETY: members cover disjoint [lo, hi) slices of
-                    // this diagonal; the barrier below sequences access
-                    // across diagonals.
-                    let hs = unsafe { h.range_mut(h0 + lo, h0 + hi) };
-                    // SAFETY: same disjoint-range argument as for `hs` above.
-                    let vs = unsafe { v.range_mut(v0 + lo, v0 + hi) };
-                    let ar = &a_rev[h0 + lo..h0 + hi];
-                    let bs = &b[v0 + lo..v0 + hi];
-                    for ((ac, bc), (hr, vr)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-                        cell(ac, bc, hr, vr);
-                    }
-                }
-                if !view.barrier() {
-                    return;
-                }
-            }
-        });
-    }
-    let h32: Vec<u32> = h_strands.iter().map(|s| s.to_u32()).collect();
-    let v32: Vec<u32> = v_strands.iter().map(|s| s.to_u32()).collect();
-    SemiLocalKernel::new(build_kernel(&h32, &v32), m, n)
 }
 
 /// Work-stealing wavefront: one team for all `m + n − 1` diagonals and
@@ -366,11 +243,18 @@ where
 /// (almost) nothing — which is what makes this mode degrade gracefully
 /// to sequential speed on a 1-CPU box.
 ///
-/// The decisive difference from [`sweep_wavefront`]: a diagonal too
-/// short to split (`active ≤ 1`) is combed by the leader **with zero
-/// synchronization** — no counter, no deque traffic, no member wakeup.
-/// The first and last ~`2·grain·team` diagonals of every grid fall in
-/// this regime, exactly where the barrier mode thrashes.
+/// A diagonal too short to split (`active ≤ 1`) is combed by the leader
+/// **with zero synchronization** — no counter, no deque traffic, no
+/// member wakeup. The first and last ~`2·grain·team` diagonals of every
+/// grid fall in this regime, which is where a per-diagonal barrier
+/// (the paper's Listing 4 cost model) would thrash.
+///
+/// Falls back to the plain sequential sweep when the grid cannot keep
+/// a second worker busy (`min(m, n) < 2·grain` or a 1-thread budget),
+/// so callers can use it unconditionally. `TRACED = false` compiles
+/// the span sites out entirely (not even the enabled-check load
+/// remains) — the zero-instrumentation baseline that `slcs bench-obs`
+/// measures disabled-tracing overhead against.
 ///
 /// # Correctness of the handshake
 ///
@@ -437,8 +321,8 @@ where
         let _sweep_mem = slcs_alloc::alloc_scope!("wavefront.sweep.mem");
         rayon::team_run(team, |view| {
             let size = view.size;
-            // Member identity for span stamping (0 = the leader), as in
-            // the barrier mode's `wavefront.diag` spans.
+            // Member identity for span stamping (0 = the leader), so the
+            // critical-path analyzer can pin each chunk to a lane.
             let wid = view.id;
             // Combs chunk `k` of diagonal `d`; geometry recomputed from
             // scratch so an entry is self-describing.
@@ -565,112 +449,48 @@ where
     SemiLocalKernel::new(build_kernel(&h32, &v32), m, n)
 }
 
-/// Pre-pool baseline: chunk the diagonal and pay a full OS-thread
-/// spawn/join cycle for every chunk beyond the first — what every
-/// parallel drive cost before the persistent pool existed.
-fn spawn_per_diag_inloop<T: Eq + Sync, S: StrandIx>(
-    grain: usize,
-    ar: &[T],
-    bs: &[T],
-    hs: &mut [S],
-    vs: &mut [S],
-    cell: impl Fn(&T, &T, &mut S, &mut S) + Copy + Send + Sync,
-) {
-    let len = hs.len();
-    let pieces = rayon::current_num_threads().min(len / grain.max(1)).max(1);
-    let chunk = len.div_ceil(pieces);
-    if pieces <= 1 {
-        for ((ac, bc), (h, v)) in ar.iter().zip(bs).zip(hs.iter_mut().zip(vs)) {
-            cell(ac, bc, h, v);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for (((hc, vc), ac), bc) in hs
-            .chunks_mut(chunk)
-            .zip(vs.chunks_mut(chunk))
-            .zip(ar.chunks(chunk))
-            .zip(bs.chunks(chunk))
-        {
-            s.spawn(move || {
-                for ((a1, b1), (h, v)) in ac.iter().zip(bc).zip(hc.iter_mut().zip(vc)) {
-                    cell(a1, b1, h, v);
-                }
-            });
-        }
-    });
-}
-
 /// Branchless parallel combing under an explicit [`Scheduling`] mode and
-/// grain — the knob pair behind `bench-baseline`'s before/after
-/// comparison and the grain ablation of §4.1.
+/// grain — the knob pair behind `bench-baseline`'s seq/work_steal rows
+/// and the grain ablation of §4.1. Callers that want the production
+/// choice pass the result of [`auto_plan`].
 pub fn par_antidiag_combing_branchless_sched<T: Eq + Clone + Sync>(
     a: &[T],
     b: &[T],
     sched: Scheduling,
     grain: usize,
 ) -> SemiLocalKernel {
-    let grain = grain.max(1);
     match sched {
-        Scheduling::SpawnPerDiag => sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
-            spawn_per_diag_inloop(grain, ar, bs, hs, vs, cell_branchless::<T, u32>);
-        }),
-        Scheduling::PoolPerDiag => sweep::<_, u32, _>(a, b, |ar, bs, hs, vs| {
-            hs.par_iter_mut()
-                .with_min_len(grain)
-                .zip(vs.par_iter_mut())
-                .zip(ar.par_iter().zip(bs.par_iter()))
-                .for_each(|((h, v), (ac, bc))| cell_branchless(ac, bc, h, v));
-        }),
-        Scheduling::Team => {
-            sweep_wavefront::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
-        }
+        Scheduling::Seq => antidiag_combing_branchless(a, b),
         Scheduling::WorkSteal => {
             sweep_wavefront_ws::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
-        }
-        Scheduling::Auto => {
-            let (mode, grain) =
-                crate::tuning::auto_plan(a.len(), b.len(), rayon::current_num_threads());
-            par_antidiag_combing_branchless_sched(a, b, mode, grain)
         }
     }
 }
 
-/// [`par_antidiag_combing_branchless`] with an explicit grain size
-/// (minimum cells per member per diagonal) — the ablation knob for the
-/// per-diagonal synchronization overhead discussed in §4.1.
-pub fn par_antidiag_combing_branchless_grain<T: Eq + Clone + Sync>(
-    a: &[T],
-    b: &[T],
-    grain: usize,
-) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, grain, cell_branchless::<T, u32>)
-}
-
-/// Trace-free twin of [`par_antidiag_combing_branchless_grain`]: the
-/// span sites are compiled out entirely, not merely disabled. This is
-/// the zero-instrumentation baseline `slcs bench-obs` compares against
-/// to prove the disabled-tracing path costs ≤ the advertised bound —
-/// not part of the supported API surface.
+/// Trace-free twin of the [`Scheduling::WorkSteal`] sweep: the span
+/// sites are compiled out entirely, not merely disabled. This is the
+/// zero-instrumentation baseline `slcs bench-obs` compares against to
+/// prove the disabled-tracing path costs ≤ the advertised bound — not
+/// part of the supported API surface.
 #[doc(hidden)]
 pub fn par_antidiag_combing_branchless_untraced<T: Eq + Clone + Sync>(
     a: &[T],
     b: &[T],
     grain: usize,
 ) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, false>(a, b, grain, cell_branchless::<T, u32>)
+    sweep_wavefront_ws::<_, u32, _, false>(a, b, grain, cell_branchless::<T, u32>)
 }
 
-/// Thread-parallel `semi_antidiag` (branching inner loop): one worker
-/// team for the whole sweep, a barrier per anti-diagonal (Listing 4).
+/// Thread-parallel `semi_antidiag` (branching inner loop, Listing 4):
+/// the work-stealing sweep at [`PAR_GRAIN`].
 pub fn par_antidiag_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), cell_branching::<T, u32>)
+    sweep_wavefront_ws::<_, u32, _, true>(a, b, PAR_GRAIN, cell_branching::<T, u32>)
 }
 
 /// Thread-parallel branchless anti-diagonal combing
 /// (`semi_antidiag_SIMD`'s parallel form from Figures 7–8).
 pub fn par_antidiag_combing_branchless<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    sweep_wavefront::<_, u32, _, true>(a, b, par_grain(), cell_branchless::<T, u32>)
+    sweep_wavefront_ws::<_, u32, _, true>(a, b, PAR_GRAIN, cell_branchless::<T, u32>)
 }
 
 /// Thread-parallel branchless combing with 16-bit strand indices.
@@ -684,7 +504,7 @@ pub fn par_antidiag_combing_u16<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiL
         "u16 strand indices require m + n ≤ 65536 (got {})",
         a.len() + b.len()
     );
-    sweep_wavefront::<_, u16, _, true>(a, b, par_grain(), cell_branchless::<T, u16>)
+    sweep_wavefront_ws::<_, u16, _, true>(a, b, PAR_GRAIN, cell_branchless::<T, u16>)
 }
 
 #[cfg(test)]
@@ -740,7 +560,7 @@ mod tests {
                 "par branchless a={a:?} b={b:?}"
             );
             assert_eq!(par_antidiag_combing_u16(&a, &b), want, "par u16 a={a:?} b={b:?}");
-            for sched in Scheduling::FIXED.into_iter().chain([Scheduling::Auto]) {
+            for sched in [Scheduling::Seq, Scheduling::WorkSteal] {
                 assert_eq!(
                     par_antidiag_combing_branchless_sched(&a, &b, sched, 4),
                     want,
@@ -750,12 +570,62 @@ mod tests {
         }
     }
 
+    /// The default-grain entry points never split test-sized inputs, so
+    /// the branching and u16 cells are driven through the generic
+    /// work-stealing sweep directly, at grains small enough to form
+    /// multi-member teams and multi-chunk diagonals.
     #[test]
-    fn scheduling_tokens_round_trip() {
-        for sched in Scheduling::FIXED.into_iter().chain([Scheduling::Auto]) {
-            assert_eq!(Scheduling::from_token(sched.token()), Some(sched));
+    fn work_steal_sweep_matches_for_every_cell_at_small_grains() {
+        let mut rng = rng();
+        for threads in [2usize, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for _ in 0..12 {
+                let m = rng.random_range(1..120);
+                let n = rng.random_range(1..120);
+                let a = random_string(&mut rng, m, 3);
+                let b = random_string(&mut rng, n, 3);
+                let want = iterative_combing(&a, &b);
+                for grain in [1usize, 3, 16] {
+                    pool.install(|| {
+                        let branching = sweep_wavefront_ws::<_, u32, _, true>(
+                            &a,
+                            &b,
+                            grain,
+                            cell_branching::<u8, u32>,
+                        );
+                        assert_eq!(branching, want, "branching t={threads} grain={grain}");
+                        let u16s = sweep_wavefront_ws::<_, u16, _, true>(
+                            &a,
+                            &b,
+                            grain,
+                            cell_branchless::<u8, u16>,
+                        );
+                        assert_eq!(u16s, want, "u16 t={threads} grain={grain}");
+                        let untraced = par_antidiag_combing_branchless_untraced(&a, &b, grain);
+                        assert_eq!(untraced, want, "untraced t={threads} grain={grain}");
+                    });
+                }
+            }
         }
-        assert_eq!(Scheduling::from_token("bogus"), None);
+    }
+
+    #[test]
+    fn auto_plan_picks_work_steal_iff_the_sweep_forms_a_team() {
+        let g = PAR_GRAIN;
+        for threads in [0usize, 1, 2, 3, 8] {
+            for m in [1, g, 2 * g - 1, 2 * g, 4 * g] {
+                for n in [1, 2 * g - 1, 2 * g, 3 * g] {
+                    let want = if threads >= 2 && m.min(n) >= 2 * g {
+                        Scheduling::WorkSteal
+                    } else {
+                        Scheduling::Seq
+                    };
+                    assert_eq!(auto_plan(m, n, threads), (want, g), "m={m} n={n} t={threads}");
+                }
+            }
+        }
+        assert_eq!(Scheduling::Seq.token(), "seq");
+        assert_eq!(Scheduling::WorkSteal.token(), "work_steal");
     }
 
     #[test]

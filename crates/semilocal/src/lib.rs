@@ -24,6 +24,16 @@
 //! All produce bit-identical kernels (cross-tested); they differ only in
 //! computation order, parallelism, and constant factors.
 //!
+//! # Wavefront scheduling
+//!
+//! The parallel anti-diagonal entry points ([`par_antidiag_combing`],
+//! [`par_antidiag_combing_branchless`], [`par_antidiag_combing_u16`])
+//! run one schedule: a barrier-free work-stealing sweep that splits each
+//! diagonal longer than [`PAR_GRAIN`] cells into chunks. The only
+//! other [`Scheduling`] is the sequential sweep. [`auto_plan`] picks
+//! between them: work stealing exactly when the grid can form a team
+//! of two or more.
+//!
 //! # Example
 //!
 //! ```
@@ -48,13 +58,11 @@ pub mod load_balanced;
 pub mod recursive;
 pub mod reference;
 pub mod simd;
-pub mod tuning;
 
 pub use antidiag::{
-    antidiag_combing, antidiag_combing_branchless, antidiag_combing_u16, par_antidiag_combing,
-    par_antidiag_combing_branchless, par_antidiag_combing_branchless_grain,
-    par_antidiag_combing_branchless_sched, par_antidiag_combing_branchless_untraced,
-    par_antidiag_combing_u16, par_grain, Scheduling,
+    antidiag_combing, antidiag_combing_branchless, antidiag_combing_u16, auto_plan,
+    par_antidiag_combing, par_antidiag_combing_branchless, par_antidiag_combing_branchless_sched,
+    par_antidiag_combing_branchless_untraced, par_antidiag_combing_u16, Scheduling, PAR_GRAIN,
 };
 pub use edit::EditDistances;
 pub use hybrid::{grid_hybrid_combing, hybrid_combing};
@@ -64,4 +72,3 @@ pub use kernel::{SemiLocalKernel, SemiLocalScores};
 pub use load_balanced::load_balanced_combing;
 pub use recursive::recursive_combing;
 pub use simd::{antidiag_combing_simd, simd_support};
-pub use tuning::{auto_plan, parse_profile, TuningEntry, TuningProfile, TUNING_VERSION};

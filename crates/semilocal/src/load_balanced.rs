@@ -39,7 +39,7 @@ use slcs_perm::Permutation;
 /// braids composed by braid multiplication (the paper's
 /// `semi_load_balanced`, sequential flavor of Figure 4(c)).
 pub fn load_balanced_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    load_balanced_impl(a, b, false)
+    load_balanced_impl(a, b, None)
 }
 
 /// Thread-parallel load-balanced combing: one worker team pinned for the
@@ -48,10 +48,16 @@ pub fn load_balanced_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLoca
 /// one barrier per iteration instead of a fork/join per diagonal
 /// (Figures 7–8).
 pub fn par_load_balanced_combing<T: Eq + Clone + Sync>(a: &[T], b: &[T]) -> SemiLocalKernel {
-    load_balanced_impl(a, b, true)
+    load_balanced_impl(a, b, Some(crate::antidiag::PAR_GRAIN))
 }
 
-fn load_balanced_impl<T: Eq + Clone + Sync>(a: &[T], b: &[T], parallel: bool) -> SemiLocalKernel {
+/// `grain: None` combs sequentially; `Some(g)` splits every iteration
+/// across a team in chunks of at least `g` cells.
+fn load_balanced_impl<T: Eq + Clone + Sync>(
+    a: &[T],
+    b: &[T],
+    grain: Option<usize>,
+) -> SemiLocalKernel {
     let m = a.len();
     let n = b.len();
     if m == 0 || n == 0 {
@@ -60,7 +66,7 @@ fn load_balanced_impl<T: Eq + Clone + Sync>(a: &[T], b: &[T], parallel: bool) ->
     }
     if m > n {
         // Comb the transposed grid and flip back (Theorem 3.5).
-        return load_balanced_impl(b, a, parallel).flip();
+        return load_balanced_impl(b, a, grain).flip();
     }
     let a_rev: Vec<T> = a.iter().rev().cloned().collect();
 
@@ -77,11 +83,8 @@ fn load_balanced_impl<T: Eq + Clone + Sync>(a: &[T], b: &[T], parallel: bool) ->
 
     // Every sweep iteration (fused 1⊕3 or phase 2) processes ~m cells,
     // so a team bigger than m / grain members can never all be busy.
-    // The grain comes from the measured tuning profile when one exists
-    // (`slcs tune` fits it alongside the mode crossovers); without a
-    // profile this is exactly `par_grain()`.
-    let (_, grain) = crate::tuning::auto_plan(m, n, rayon::current_num_threads());
-    let team = if parallel { rayon::current_num_threads().min(m / grain).max(1) } else { 1 };
+    let grain = grain.unwrap_or(usize::MAX).max(1);
+    let team = rayon::current_num_threads().min(m / grain).max(1);
     if team > 1 {
         let shared = [
             SharedPhase { h: h1.as_mut_ptr(), v: v1.as_mut_ptr() },
@@ -306,5 +309,24 @@ mod tests {
         let a = random_string(&mut rng, 300, 4);
         let b = random_string(&mut rng, 500, 4);
         assert_eq!(par_load_balanced_combing(&a, &b), load_balanced_combing(&a, &b));
+    }
+
+    /// The default grain never forms a team on test-sized inputs, so the
+    /// team path is driven at small grains under several budgets.
+    #[test]
+    fn team_path_matches_at_small_grains() {
+        let mut rng = rng();
+        let a = random_string(&mut rng, 300, 4);
+        let b = random_string(&mut rng, 500, 4);
+        let want = iterative_combing(&a, &b);
+        for threads in [2usize, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for grain in [1usize, 16, 100] {
+                let got = pool.install(|| load_balanced_impl(&a, &b, Some(grain)));
+                assert_eq!(got, want, "threads={threads} grain={grain}");
+                let flipped = pool.install(|| load_balanced_impl(&b, &a, Some(grain)));
+                assert_eq!(flipped, iterative_combing(&b, &a), "flipped threads={threads}");
+            }
+        }
     }
 }

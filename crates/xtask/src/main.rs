@@ -21,9 +21,10 @@
 //!   absence of failures. See docs/SAFETY.md.
 //! * `trace-check FILE` — validates a Chrome-tracing JSON emitted by
 //!   `slcs trace` / the `--trace` bench flags: structural JSON sanity
-//!   plus presence of the four instrumentation layers (an
-//!   `engine.request` span, a `pool.job` span, a `wavefront.diag`
-//!   span, an `osed.bfs_round` span), plus the parallelism profiler's
+//!   plus presence of the five instrumentation layers (an
+//!   `engine.request` span, a `pool.job` span, a `wavefront.chunk`
+//!   span, an `osed.bfs_round` span, an `engine.slow_capture` marker),
+//!   plus the parallelism profiler's
 //!   surface (named `worker-N` lanes with `thread_sort_index`
 //!   metadata and `pool.worker_phase` instants). CI runs it against a
 //!   traced quick benchmark with the profiler on.
@@ -32,7 +33,7 @@
 //!   against the committed
 //!   snapshots in `perf/baselines/`, gating only machine-robust
 //!   quantities (deterministic allocation counts, self-relative
-//!   overhead percentages, scheduling-mode and cross-algorithm ratios)
+//!   overhead percentages, scheduling and cross-algorithm ratios)
 //!   with configurable noise tolerance. See docs/PERF.md.
 //!
 //! The lint is a line-based scan with a small lexer that tracks strings,
@@ -72,7 +73,7 @@ fn main() -> ExitCode {
 /// wavefront drivers, the output-sensitive edit-distance BFS, and the
 /// flight recorder's slow-request capture marker.
 const REQUIRED_SPANS: &[&str] =
-    &["engine.request", "pool.job", "wavefront.diag", "osed.bfs_round", "engine.slow_capture"];
+    &["engine.request", "pool.job", "wavefront.chunk", "osed.bfs_round", "engine.slow_capture"];
 
 /// Beyond the span layers, the trace must carry the parallelism
 /// profiler's surface: per-worker lanes named `worker-N` (thread_name
@@ -193,25 +194,17 @@ fn trace_check(args: &[String]) -> ExitCode {
 /// * `BENCH_obs.json` — the disabled/enabled overhead *percentages*
 ///   (already self-relative) may not exceed the baseline by more than
 ///   `--overhead-slack` percentage points.
-/// * `BENCH_pool.json` — the team/spawn ns-per-cell *ratio* at the
-///   largest configuration (absolute wall times never gate — they are
-///   machine-dependent). The same file also feeds the scheduling gate
-///   (`gate_sched`): `work_steal` within 1.2× of the best fixed
-///   parallel mode at the largest configuration, and `auto` within
-///   10% of the best fixed mode at every multi-threaded sweep point
-///   (at one thread all modes are the same sequential comb, so those
-///   rows never gate) — both ratios of rows from one run, so they
-///   hold on any machine.
+/// * `BENCH_pool.json` — the scheduling gate (`gate_plan`): at every
+///   multi-threaded sweep point the `planned` route (what the engine
+///   runs for that grid) within 10% of `min(seq, work_steal)` — a
+///   ratio of rows from one run, so it holds on any machine (absolute
+///   wall times never gate).
 /// * `BENCH_profile.json` — the profiler-off A/A delta
 ///   (`gate_profile`): with profiling off the hooks are one relaxed
 ///   load each, so the off-vs-off re-measurement must sit within
 ///   [`PROFILE_MAX_OFF_OVERHEAD`] percent plus `--overhead-slack`
-///   noise points of zero; the profiler-on overhead may not exceed the
-///   baseline by more than the slack; and at the largest sweep point
-///   `work_steal` pool utilization must not undercut `team`'s — the
-///   spin-stealing deque keeps workers hot where the barrier team
-///   parks them, and losing that property means the phase attribution
-///   (or the scheduler) broke.
+///   noise points of zero; and the profiler-on overhead may not exceed
+///   the baseline by more than the slack.
 /// * `BENCH_osed.json` — at the largest 99%-similarity row: the
 ///   deterministic allocation count of one `edit_distance` call
 ///   (within `--tolerance`), and the osed-vs-best-grid time *ratio*
@@ -256,8 +249,7 @@ fn perf_gate(args: &[String]) -> ExitCode {
     for (file, check) in [
         ("BENCH_mem.json", gate_mem as fn(&str, &str, f64, f64) -> Vec<String>),
         ("BENCH_obs.json", gate_obs),
-        ("BENCH_pool.json", gate_pool),
-        ("BENCH_pool.json", gate_sched),
+        ("BENCH_pool.json", gate_plan),
         ("BENCH_profile.json", gate_profile),
         ("BENCH_osed.json", gate_osed),
     ] {
@@ -432,183 +424,85 @@ fn gate_obs(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<String> {
     problems
 }
 
-fn gate_pool(fresh: &str, base: &str, tol_pct: f64, _slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    // Gate the team/spawn ratio at the largest (size, threads) row pair
-    // present in the baseline — a machine-independent quantity, unlike
-    // the raw ns/cell numbers.
-    let ratio = |text: &str| -> Option<(f64, f64, f64)> {
-        let mut best: Option<(f64, f64, f64)> = None; // (size, threads, ratio)
-        for (at, _) in text.match_indices("\"mode\": \"team\"") {
-            let start = text[..at].rfind('{')?;
-            let end = at + text[at..].find('}')?;
-            let row = &text[start..=end];
-            let (size, threads, team_ns) = (
-                num_field(row, "size")?,
-                num_field(row, "threads")?,
-                num_field(row, "ns_per_cell")?,
-            );
-            // The matching spawn row shares size and threads.
-            let spawn_ns =
-                text.match_indices("\"mode\": \"spawn_per_diag\"").find_map(|(at, _)| {
-                    let start = text[..at].rfind('{')?;
-                    let end = at + text[at..].find('}')?;
-                    let row = &text[start..=end];
-                    (num_field(row, "size") == Some(size)
-                        && num_field(row, "threads") == Some(threads))
-                    .then(|| num_field(row, "ns_per_cell"))?
-                })?;
-            let cand = (size, threads, team_ns / spawn_ns.max(f64::MIN_POSITIVE));
-            if best.is_none_or(|(s, t, _)| (size, threads) > (s, t)) {
-                best = Some(cand);
-            }
-        }
-        best
-    };
-    match (ratio(fresh), ratio(base)) {
-        (Some((fs, ft, fr)), Some((bs, bt, br))) => {
-            if (fs, ft) != (bs, bt) {
-                problems.push(format!(
-                    "config drift: largest row is {fs}x{fs} t={ft} fresh \
-                     vs {bs}x{bs} t={bt} baseline"
-                ));
-            } else {
-                within(
-                    &format!("team/spawn ns-per-cell ratio at {fs}x{fs} t={ft}"),
-                    fr,
-                    br,
-                    tol_pct,
-                    &mut problems,
-                );
-            }
-        }
-        _ => problems.push("cannot compute team/spawn ratio in fresh or baseline".into()),
-    }
-    problems
-}
-
-/// The coordinated work-stealing sweep may lose at most this factor to
-/// the best parallel mode at the largest configuration. This is the
-/// "team regression" contract: the mode the cost model leans on for
-/// wavefront coordination must never reopen the 2×+ barrier-thrash
-/// cliff that the barrier team pays on short diagonals (the `team` and
-/// `spawn_per_diag` rows are *kept* in the bench precisely to document
-/// that cliff, so they do not themselves gate).
-const SCHED_MAX_WS_OVER_BEST: f64 = 1.2;
-
-/// `auto` may lose at most this factor to the best fixed parallel mode
-/// at every *multi-threaded* sweep point — the measured cost model has
-/// one job. Single-thread points do not gate: there every mode
-/// degenerates to the same sequential comb, so their row differences
-/// are replicate noise of one code path, not scheduling quality.
-const SCHED_MAX_AUTO_OVER_BEST: f64 = 1.10;
-
-/// The concrete modes `Scheduling::Auto` chooses between (the `seq`
-/// rows are the 1-thread reference, not a dispatchable mode).
-const SCHED_FIXED_MODES: [&str; 4] = ["spawn_per_diag", "pool_per_diag", "team", "work_steal"];
-
-/// Absolute scheduling-quality gate on the fresh `BENCH_pool.json`
-/// (the baseline only guards config drift — both bounds are ratios of
-/// same-machine same-run rows, so they need no cross-machine anchor):
-///
-/// * `work_steal` within [`SCHED_MAX_WS_OVER_BEST`] of the best fixed
-///   parallel mode at the largest `(size, threads)` configuration;
-/// * `auto` within [`SCHED_MAX_AUTO_OVER_BEST`] of the best fixed
-///   parallel mode at every `(size, threads)` sweep point.
-fn gate_sched(fresh: &str, base: &str, _tol_pct: f64, _slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    // (size, threads, mode, ns_per_cell) for every row in the file.
-    fn rows(text: &str) -> Vec<(u64, u64, &str, f64)> {
-        let mut out = Vec::new();
-        for (at, _) in text.match_indices("\"mode\": \"") {
-            let mode_start = at + "\"mode\": \"".len();
-            let Some(mode_len) = text[mode_start..].find('"') else { continue };
-            let (Some(start), Some(end)) = (text[..at].rfind('{'), text[at..].find('}')) else {
-                continue;
-            };
-            let row = &text[start..at + end];
-            if let (Some(size), Some(threads), Some(ns)) =
-                (num_field(row, "size"), num_field(row, "threads"), num_field(row, "ns_per_cell"))
-            {
-                out.push((
-                    size as u64,
-                    threads as u64,
-                    &text[mode_start..mode_start + mode_len],
-                    ns,
-                ));
-            }
-        }
-        out
-    }
-    let fresh_rows = rows(fresh);
-    // Sweep points where scheduling exists (threads ≥ 2 — see
-    // SCHED_MAX_AUTO_OVER_BEST for why t=1 rows never gate), largest
-    // last.
-    let mut points: Vec<(u64, u64)> = fresh_rows
-        .iter()
-        .filter(|r| r.1 >= 2 && SCHED_FIXED_MODES.contains(&r.2))
-        .map(|r| (r.0, r.1))
-        .collect();
-    points.sort_unstable();
-    points.dedup();
-    let Some(&largest) = points.last() else {
-        problems.push("no parallel-mode rows in fresh run".into());
-        return problems;
-    };
-    if let Some(&(bs, bt)) = {
-        let mut bp: Vec<(u64, u64)> = rows(base)
-            .iter()
-            .filter(|r| r.1 >= 2 && SCHED_FIXED_MODES.contains(&r.2))
-            .map(|r| (r.0, r.1))
-            .collect();
-        bp.sort_unstable();
-        bp.last().copied().as_ref()
-    } {
-        if (bs, bt) != largest {
-            problems.push(format!(
-                "config drift: largest parallel point is {}x{} t={} fresh vs {bs}x{bs} t={bt} baseline",
-                largest.0, largest.0, largest.1
-            ));
-            return problems;
-        }
-    }
-    for &(size, threads) in &points {
-        let at_point = |mode: &str| {
-            fresh_rows.iter().find(|r| (r.0, r.1) == (size, threads) && r.2 == mode).map(|r| r.3)
-        };
-        let Some(best_fixed) = SCHED_FIXED_MODES
-            .iter()
-            .filter_map(|m| at_point(m))
-            .min_by(f64::total_cmp)
-            .filter(|&ns| ns > 0.0)
-        else {
+/// `(size, threads, mode, metric)` for every row of a bench JSON whose
+/// rows carry `size`, `threads`, `mode` and the numeric `metric`.
+fn mode_rows<'a>(text: &'a str, metric: &str) -> Vec<(u64, u64, &'a str, f64)> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices("\"mode\": \"") {
+        let mode_start = at + "\"mode\": \"".len();
+        let Some(mode_len) = text[mode_start..].find('"') else { continue };
+        let (Some(start), Some(end)) = (text[..at].rfind('{'), text[at..].find('}')) else {
             continue;
         };
-        match at_point("auto") {
-            Some(auto_ns) => {
-                if auto_ns > best_fixed * SCHED_MAX_AUTO_OVER_BEST {
-                    problems.push(format!(
-                        "auto lost to the best fixed mode at {size}x{size} t={threads}: \
-                         {auto_ns:.4} vs {best_fixed:.4} ns/cell \
-                         (> {SCHED_MAX_AUTO_OVER_BEST}x — the cost model picked wrong)"
-                    ));
-                }
-            }
-            None => problems.push(format!("no auto row at {size}x{size} t={threads}")),
+        let row = &text[start..at + end];
+        if let (Some(size), Some(threads), Some(v)) =
+            (num_field(row, "size"), num_field(row, "threads"), num_field(row, metric))
+        {
+            out.push((size as u64, threads as u64, &text[mode_start..mode_start + mode_len], v));
         }
-        if (size, threads) == largest {
-            match at_point("work_steal") {
-                Some(ws_ns) => {
-                    if ws_ns > best_fixed * SCHED_MAX_WS_OVER_BEST {
-                        problems.push(format!(
-                            "work_steal cliff at {size}x{size} t={threads}: {ws_ns:.4} vs best \
-                             fixed {best_fixed:.4} ns/cell (> {SCHED_MAX_WS_OVER_BEST}x — the \
-                             team regression is back in the coordinated sweep)"
-                        ));
-                    }
-                }
-                None => problems.push(format!("no work_steal row at {size}x{size} t={threads}")),
-            }
+    }
+    out
+}
+
+/// The `planned` route may lose at most this factor to the faster of
+/// `seq` and `work_steal` at every multi-threaded sweep point: the plan
+/// has one job, and a wrong pick costs more than this.
+const PLAN_MAX_OVER_BEST: f64 = 1.10;
+
+/// Scheduling gate on the fresh `BENCH_pool.json`: at every
+/// `(size, threads)` point with a `planned` row (threads ≥ 2), the
+/// planned route must run within [`PLAN_MAX_OVER_BEST`] of
+/// `min(seq, work_steal)`, the work_steal side being its fastest swept
+/// grain — a ratio of same-run rows, so it needs no
+/// cross-machine anchor. The baseline only guards config drift (the
+/// largest planned point must match).
+fn gate_plan(fresh: &str, base: &str, _tol_pct: f64, _slack: f64) -> Vec<String> {
+    let mut problems = Vec::new();
+    let fresh_rows = mode_rows(fresh, "ns_per_cell");
+    let planned_points = |rows: &[(u64, u64, &str, f64)]| {
+        let mut points: Vec<(u64, u64)> =
+            rows.iter().filter(|r| r.2 == "planned").map(|r| (r.0, r.1)).collect();
+        points.sort_unstable();
+        points.dedup();
+        points
+    };
+    let points = planned_points(&fresh_rows);
+    let Some(&largest) = points.last() else {
+        problems.push("no planned rows in fresh run".into());
+        return problems;
+    };
+    let base_largest = planned_points(&mode_rows(base, "ns_per_cell")).last().copied();
+    if base_largest != Some(largest) {
+        problems.push(format!(
+            "config drift: largest planned point is {}x{} t={} fresh vs {base_largest:?} \
+             baseline",
+            largest.0, largest.0, largest.1
+        ));
+        return problems;
+    }
+    for &(size, threads) in &points {
+        // The fastest row of a mode at this point (work_steal has one
+        // row per swept grain).
+        let ns = |t: u64, mode: &str| {
+            fresh_rows
+                .iter()
+                .filter(|r| (r.0, r.1, r.2) == (size, t, mode))
+                .map(|r| r.3)
+                .min_by(f64::total_cmp)
+        };
+        let (Some(seq), Some(ws), Some(planned)) =
+            (ns(1, "seq"), ns(threads, "work_steal"), ns(threads, "planned"))
+        else {
+            problems.push(format!("missing seq or work_steal row at {size}x{size} t={threads}"));
+            continue;
+        };
+        let best = seq.min(ws);
+        if planned > best * PLAN_MAX_OVER_BEST {
+            problems.push(format!(
+                "planned route lost at {size}x{size} t={threads}: {planned:.4} vs \
+                 min(seq, work_steal) {best:.4} ns/cell (> {PLAN_MAX_OVER_BEST}x — the plan \
+                 picked the slower schedule)"
+            ));
         }
     }
     problems
@@ -620,18 +514,9 @@ fn gate_sched(fresh: &str, base: &str, _tol_pct: f64, _slack: f64) -> Vec<String
 /// anything past that means the off path grew real work.
 const PROFILE_MAX_OFF_OVERHEAD: f64 = 2.0;
 
-/// `work_steal` pool utilization may undercut `team`'s at the largest
-/// sweep point by at most this much (both are busy-fractions in
-/// [0, 1] from the same run, so the comparison is machine-free). The
-/// spin-stealing deque keeps workers busy or probing where the barrier
-/// team parks them waiting; observed margins are >0.5, so this epsilon
-/// only absorbs scheduler jitter.
-const PROFILE_UTIL_EPSILON: f64 = 0.05;
-
 /// Gate over the fresh `BENCH_profile.json` (see the [`perf_gate`]
-/// docs): profiler-off A/A delta pinned near zero, profiler-on
-/// overhead held to the baseline, and the work-steal-beats-team
-/// utilization invariant at the largest sweep point.
+/// docs): profiler-off A/A delta pinned near zero and profiler-on
+/// overhead held to the baseline, at an unchanged sweep config.
 fn gate_profile(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<String> {
     let mut problems = Vec::new();
     for key in ["overhead_size", "overhead_threads", "par_grain"] {
@@ -671,32 +556,8 @@ fn gate_profile(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<Strin
         }
         _ => problems.push("missing overhead_on_percent in fresh or baseline".into()),
     }
-    // (size, threads, mode, utilization) for every sweep row.
-    fn rows(text: &str) -> Vec<(u64, u64, &str, f64)> {
-        let mut out = Vec::new();
-        for (at, _) in text.match_indices("\"mode\": \"") {
-            let mode_start = at + "\"mode\": \"".len();
-            let Some(mode_len) = text[mode_start..].find('"') else { continue };
-            let (Some(start), Some(end)) = (text[..at].rfind('{'), text[at..].find('}')) else {
-                continue;
-            };
-            let row = &text[start..at + end];
-            if let (Some(size), Some(threads), Some(util)) =
-                (num_field(row, "size"), num_field(row, "threads"), num_field(row, "utilization"))
-            {
-                out.push((
-                    size as u64,
-                    threads as u64,
-                    &text[mode_start..mode_start + mode_len],
-                    util,
-                ));
-            }
-        }
-        out
-    }
-    let fresh_rows = rows(fresh);
-    let largest = |rs: &[(u64, u64, &str, f64)]| rs.iter().map(|r| (r.0, r.1)).max();
-    let (Some(point), base_point) = (largest(&fresh_rows), largest(&rows(base))) else {
+    let largest = |text: &str| mode_rows(text, "utilization").iter().map(|r| (r.0, r.1)).max();
+    let (Some(point), base_point) = (largest(fresh), largest(base)) else {
         problems.push("no sweep rows in fresh run".into());
         return problems;
     };
@@ -705,25 +566,6 @@ fn gate_profile(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<Strin
             "config drift: largest sweep point is {}x{} t={} fresh vs {:?} baseline",
             point.0, point.0, point.1, base_point
         ));
-        return problems;
-    }
-    let util_at =
-        |mode: &str| fresh_rows.iter().find(|r| (r.0, r.1) == point && r.2 == mode).map(|r| r.3);
-    match (util_at("work_steal"), util_at("team")) {
-        (Some(ws), Some(team)) => {
-            if ws < team - PROFILE_UTIL_EPSILON {
-                problems.push(format!(
-                    "work_steal utilization {ws:.4} fell below team {team:.4} at \
-                     {}x{} t={} (margin > {PROFILE_UTIL_EPSILON}) — the stealing \
-                     sweep no longer keeps workers busier than the barrier team",
-                    point.0, point.0, point.1
-                ));
-            }
-        }
-        _ => problems.push(format!(
-            "missing work_steal or team row at the largest sweep point {}x{} t={}",
-            point.0, point.0, point.1
-        )),
     }
     problems
 }
@@ -1814,139 +1656,103 @@ mod tests {
         );
     }
 
-    fn pool_json(team_ns: f64, spawn_ns: f64) -> String {
-        format!(
-            "{{\n  \"bench\": \"bench-baseline\",\n  \"rows\": [\n    \
-             {{\"size\": 256, \"threads\": 1, \"mode\": \"spawn_per_diag\", \
-             \"ns_per_cell\": 9.0, \"millis\": 1.0}},\n    \
-             {{\"size\": 256, \"threads\": 1, \"mode\": \"team\", \
-             \"ns_per_cell\": 9.0, \"millis\": 1.0}},\n    \
-             {{\"size\": 256, \"threads\": 2, \"mode\": \"spawn_per_diag\", \
-             \"ns_per_cell\": {spawn_ns:.3}, \"millis\": 1.0}},\n    \
-             {{\"size\": 256, \"threads\": 2, \"mode\": \"team\", \
-             \"ns_per_cell\": {team_ns:.3}, \"millis\": 1.0}}\n  ]\n}}\n"
-        )
-    }
-
-    #[test]
-    fn gate_pool_compares_team_spawn_ratio_at_largest_config() {
-        let base = pool_json(5.0, 10.0); // ratio 0.5
-        assert!(gate_pool(&pool_json(6.0, 10.0), &base, 25.0, 10.0).is_empty()); // 0.6 ≤ 0.5·1.25
-        let problems = gate_pool(&pool_json(8.0, 10.0), &base, 25.0, 10.0); // 0.8 > 0.625
-        assert!(problems.iter().any(|p| p.contains("ratio at 256x256 t=2")), "{problems:?}");
-        // Absolute slowdown with an unchanged ratio passes: wall times
-        // are machine-dependent and must not gate.
-        assert!(gate_pool(&pool_json(50.0, 100.0), &base, 25.0, 10.0).is_empty());
-    }
-
-    /// Two sweep points (256² and 512², both t=2) with every mode row;
-    /// the fixed modes pin the best parallel cost at 1.0 ns/cell.
-    fn sched_json(ws_large: f64, auto_small: f64, auto_large: f64) -> String {
-        let mut rows =
-            vec![(256u64, 1u64, "seq".to_string(), 0.9f64), (512, 1, "seq".to_string(), 0.9)];
-        for (size, ws, auto) in [(256u64, 1.0, auto_small), (512, ws_large, auto_large)] {
-            rows.push((size, 2, "spawn_per_diag".into(), 9.0));
-            rows.push((size, 2, "pool_per_diag".into(), 1.0));
-            rows.push((size, 2, "team".into(), 5.0));
-            rows.push((size, 2, "work_steal".into(), ws));
-            rows.push((size, 2, "auto".into(), auto));
+    /// Two sweep points (256² and 512², both t=2) with seq at 1.0
+    /// ns/cell and the work_steal and planned rows parameterized.
+    fn plan_json(ws_large: f64, planned_small: f64, planned_large: f64) -> String {
+        let mut rows = Vec::new();
+        for (size, ws, planned, route) in
+            [(256u64, 2.0, planned_small, "seq"), (512, ws_large, planned_large, "work_steal")]
+        {
+            rows.push(format!(
+                "    {{\"size\": {size}, \"threads\": 1, \"mode\": \"seq\", \
+                 \"ns_per_cell\": 1.0000, \"millis\": 1.0}}"
+            ));
+            rows.push(format!(
+                "    {{\"size\": {size}, \"threads\": 2, \"mode\": \"work_steal\", \
+                 \"ns_per_cell\": {ws:.4}, \"millis\": 1.0}}"
+            ));
+            rows.push(format!(
+                "    {{\"size\": {size}, \"threads\": 2, \"mode\": \"planned\", \
+                 \"route\": \"{route}\", \"ns_per_cell\": {planned:.4}, \"millis\": 1.0}}"
+            ));
         }
-        let body: Vec<String> = rows
-            .iter()
-            .map(|(n, t, m, ns)| {
-                format!(
-                    "    {{\"size\": {n}, \"threads\": {t}, \"mode\": \"{m}\", \
-                     \"ns_per_cell\": {ns:.4}, \"millis\": 1.0}}"
-                )
-            })
-            .collect();
         format!(
             "{{\n  \"bench\": \"bench-baseline\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-            body.join(",\n")
+            rows.join(",\n")
         )
     }
 
     #[test]
-    fn gate_sched_passes_when_ws_and_auto_track_the_best_mode() {
-        let good = sched_json(1.1, 1.05, 0.8);
-        assert!(gate_sched(&good, &good, 25.0, 10.0).is_empty());
+    fn gate_plan_passes_when_the_plan_tracks_the_faster_schedule() {
+        // seq plan at 256² (work_steal slower), work_steal plan at 512².
+        let good = plan_json(0.8, 1.0, 0.85);
+        assert!(gate_plan(&good, &good, 25.0, 10.0).is_empty());
+        // Planned faster than both rows is an improvement, not a failure.
+        let faster = plan_json(0.8, 0.5, 0.5);
+        assert!(gate_plan(&faster, &faster, 25.0, 10.0).is_empty());
     }
 
     #[test]
-    fn gate_sched_fails_a_work_steal_cliff_at_the_largest_point() {
-        let bad = sched_json(1.5, 1.0, 0.8); // 1.5 > 1.2 × best (1.0)
-        let problems = gate_sched(&bad, &bad, 25.0, 10.0);
+    fn gate_plan_fails_a_wrong_pick_at_every_point() {
+        // At 256² the seq plan is held to work_steal when that is faster.
+        let bad = plan_json(0.8, 1.0, 0.8).replace(
+            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 2.0000",
+            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 0.5000",
+        );
+        let problems = gate_plan(&bad, &bad, 25.0, 10.0);
         assert!(
-            problems.iter().any(|p| p.contains("work_steal cliff at 512x512 t=2")),
+            problems.iter().any(|p| p.contains("planned route lost at 256x256 t=2")),
             "{problems:?}"
         );
-        // A work_steal cliff at the *small* point does not gate (the
-        // contract anchors at the largest configuration)…
-        let small_ws = sched_json(1.0, 1.0, 0.8).replace(
-            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 1.0000",
-            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 8.0000",
-        );
-        assert!(gate_sched(&small_ws, &small_ws, 25.0, 10.0).is_empty());
-    }
-
-    #[test]
-    fn gate_sched_holds_auto_to_the_best_fixed_mode_everywhere() {
-        // Slow at the small point only — every sweep point gates.
-        let bad = sched_json(1.0, 1.2, 0.8);
-        let problems = gate_sched(&bad, &bad, 25.0, 10.0);
+        // At 512² a work_steal plan slower than seq fails too.
+        let bad = plan_json(1.5, 1.0, 1.5);
+        let problems = gate_plan(&bad, &bad, 25.0, 10.0);
         assert!(
-            problems.iter().any(|p| p.contains("auto lost") && p.contains("256x256")),
+            problems.iter().any(|p| p.contains("planned route lost at 512x512 t=2")),
             "{problems:?}"
         );
-        // Auto *faster* than every fixed mode is an improvement, not a
-        // failure; a missing auto row is.
-        let faster = sched_json(1.0, 0.5, 0.5);
-        assert!(gate_sched(&faster, &faster, 25.0, 10.0).is_empty());
-        let missing = sched_json(1.0, 1.0, 0.8)
-            .replace("    {\"size\": 256, \"threads\": 2, \"mode\": \"auto\", \"ns_per_cell\": 1.0000, \"millis\": 1.0},\n", "");
-        let problems = gate_sched(&missing, &missing, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("no auto row at 256x256")), "{problems:?}");
     }
 
     #[test]
-    fn gate_sched_ignores_single_thread_rows() {
-        // At t=1 every mode degenerates to the same sequential comb, so
-        // an "auto lost to spawn" spread there is replicate noise of
-        // one code path — it must not gate, however wide.
-        let extra = "    {\"size\": 256, \"threads\": 1, \"mode\": \"spawn_per_diag\", \
-                     \"ns_per_cell\": 1.0000, \"millis\": 1.0},\n    \
-                     {\"size\": 256, \"threads\": 1, \"mode\": \"auto\", \
-                     \"ns_per_cell\": 4.0000, \"millis\": 1.0},\n";
-        let noisy = sched_json(1.0, 1.0, 0.8).replacen(
-            "    {\"size\": 256, \"threads\": 2",
-            &format!("{extra}    {{\"size\": 256, \"threads\": 2"),
+    fn gate_plan_compares_against_the_fastest_work_steal_grain() {
+        // A second, faster work_steal grain at 512² makes the planned
+        // row (at the production grain) lose by more than 10%.
+        let extra = "    {\"size\": 512, \"threads\": 2, \"mode\": \"work_steal\", \
+                     \"grain\": 2048, \"ns_per_cell\": 0.5000, \"millis\": 1.0},\n";
+        let two = plan_json(0.8, 1.0, 0.8).replacen(
+            "    {\"size\": 512, \"threads\": 2, \"mode\": \"planned\"",
+            &format!("{extra}    {{\"size\": 512, \"threads\": 2, \"mode\": \"planned\""),
             1,
         );
-        assert!(noisy.contains("\"threads\": 1, \"mode\": \"auto\""), "splice failed");
-        assert!(gate_sched(&noisy, &noisy, 25.0, 10.0).is_empty());
+        assert!(two.contains("\"grain\": 2048"), "splice failed");
+        let problems = gate_plan(&two, &two, 25.0, 10.0);
+        assert!(problems.iter().any(|p| p.contains("lost at 512x512")), "{problems:?}");
     }
 
     #[test]
-    fn gate_sched_detects_config_drift_against_the_baseline() {
-        let fresh = sched_json(1.0, 1.0, 0.8);
+    fn gate_plan_detects_missing_rows_and_config_drift() {
+        let fresh = plan_json(0.8, 1.0, 0.85);
         let base = fresh.replace("\"size\": 512", "\"size\": 1024");
-        let problems = gate_sched(&fresh, &base, 25.0, 10.0);
+        let problems = gate_plan(&fresh, &base, 25.0, 10.0);
         assert!(problems.iter().any(|p| p.contains("config drift")), "{problems:?}");
+        let no_plan = fresh.replace("\"planned\"", "\"other\"");
+        let problems = gate_plan(&no_plan, &fresh, 25.0, 10.0);
+        assert!(problems.iter().any(|p| p.contains("no planned rows")), "{problems:?}");
+        let no_ws = fresh.replace("\"work_steal\", \"ns", "\"renamed\", \"ns");
+        let problems = gate_plan(&no_ws, &fresh, 25.0, 10.0);
+        assert!(problems.iter().any(|p| p.contains("missing seq or work_steal")), "{problems:?}");
     }
 
-    /// Two sweep points (512² t=1 leader-only, 512² t=2) per mode, with
-    /// the overhead block and the t=2 utilizations parameterized.
-    fn profile_json(off: f64, on: f64, team_util: f64, ws_util: f64) -> String {
+    /// Two sweep points (512² t=1 leader-only, 512² t=2), with the
+    /// overhead block parameterized.
+    fn profile_json(off: f64, on: f64) -> String {
         let mut rows = Vec::new();
-        for (threads, team_u, ws_u) in [(1u64, 0.0, 0.0), (2, team_util, ws_util)] {
-            for (mode, util) in [("team", team_u), ("pool_per_diag", 0.1), ("work_steal", ws_u)] {
-                let util = if threads == 1 { 0.0 } else { util };
-                rows.push(format!(
-                    "    {{\"size\": 512, \"threads\": {threads}, \"mode\": \"{mode}\", \
-                     \"utilization\": {util:.4}, \"parallelism\": 1.5000, \"busy_ns\": 1000, \
-                     \"steal_ns\": 10, \"idle_ns\": 10, \"barrier_ns\": 10, \"millis\": 1.0}}"
-                ));
-            }
+        for (threads, util) in [(1u64, 0.0), (2, 0.9)] {
+            rows.push(format!(
+                "    {{\"size\": 512, \"threads\": {threads}, \"mode\": \"work_steal\", \
+                 \"utilization\": {util:.4}, \"parallelism\": 1.5000, \"busy_ns\": 1000, \
+                 \"steal_ns\": 10, \"idle_ns\": 10, \"barrier_ns\": 10, \"millis\": 1.0}}"
+            ));
         }
         format!(
             "{{\n  \"bench\": \"bench-profile\",\n  \"par_grain\": 128,\n  \
@@ -1959,50 +1765,32 @@ mod tests {
 
     #[test]
     fn gate_profile_pins_the_off_path_near_zero() {
-        let base = profile_json(0.4, 1.3, 0.1, 0.9);
+        let base = profile_json(0.4, 1.3);
         // Within budget + slack (2 + 10 points) passes; past it fails.
-        assert!(gate_profile(&profile_json(11.0, 1.3, 0.1, 0.9), &base, 25.0, 10.0).is_empty());
-        let problems = gate_profile(&profile_json(13.0, 1.3, 0.1, 0.9), &base, 25.0, 10.0);
+        assert!(gate_profile(&profile_json(11.0, 1.3), &base, 25.0, 10.0).is_empty());
+        let problems = gate_profile(&profile_json(13.0, 1.3), &base, 25.0, 10.0);
         assert!(problems.iter().any(|p| p.contains("profiler-off A/A overhead")), "{problems:?}");
         // Negative A/A (second run faster) is noise, never a failure.
-        assert!(gate_profile(&profile_json(-3.0, 1.3, 0.1, 0.9), &base, 25.0, 10.0).is_empty());
+        assert!(gate_profile(&profile_json(-3.0, 1.3), &base, 25.0, 10.0).is_empty());
     }
 
     #[test]
     fn gate_profile_holds_on_overhead_to_the_baseline() {
-        let base = profile_json(0.4, 1.3, 0.1, 0.9);
-        let problems = gate_profile(&profile_json(0.4, 14.0, 0.1, 0.9), &base, 25.0, 10.0);
+        let base = profile_json(0.4, 1.3);
+        let problems = gate_profile(&profile_json(0.4, 14.0), &base, 25.0, 10.0);
         assert!(
             problems.iter().any(|p| p.contains("overhead_on_percent regressed")),
             "{problems:?}"
         );
         // A negative baseline clamps to zero instead of tightening the
         // budget below the slack.
-        let noisy_base = profile_json(0.4, -2.0, 0.1, 0.9);
-        assert!(gate_profile(&profile_json(0.4, 9.0, 0.1, 0.9), &noisy_base, 25.0, 10.0).is_empty());
-    }
-
-    #[test]
-    fn gate_profile_requires_work_steal_utilization_at_least_team() {
-        let good = profile_json(0.4, 1.3, 0.11, 0.95);
-        assert!(gate_profile(&good, &good, 25.0, 10.0).is_empty());
-        // The epsilon absorbs jitter: ws 0.08 vs team 0.11 passes…
-        let close = profile_json(0.4, 1.3, 0.11, 0.08);
-        assert!(gate_profile(&close, &close, 25.0, 10.0).is_empty());
-        // …but a real inversion fails.
-        let bad = profile_json(0.4, 1.3, 0.9, 0.2);
-        let problems = gate_profile(&bad, &bad, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("work_steal utilization") && p.contains("t=2")),
-            "{problems:?}"
-        );
-        // Only the largest sweep point gates — the t=1 leader-only rows
-        // (both utilizations 0) never do.
+        let noisy_base = profile_json(0.4, -2.0);
+        assert!(gate_profile(&profile_json(0.4, 9.0), &noisy_base, 25.0, 10.0).is_empty());
     }
 
     #[test]
     fn gate_profile_detects_config_drift_and_missing_fields() {
-        let fresh = profile_json(0.4, 1.3, 0.1, 0.9);
+        let fresh = profile_json(0.4, 1.3);
         let base = fresh.replace("\"overhead_size\": 512", "\"overhead_size\": 1024");
         let problems = gate_profile(&fresh, &base, 25.0, 10.0);
         assert!(problems.iter().any(|p| p.contains("config drift")), "{problems:?}");
@@ -2012,9 +1800,10 @@ mod tests {
             problems.iter().any(|p| p.contains("missing overhead_off_percent")),
             "{problems:?}"
         );
-        let no_ws = fresh.replace("\"mode\": \"work_steal\"", "\"mode\": \"ws_renamed\"");
-        let problems = gate_profile(&no_ws, &no_ws, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("missing work_steal or team")), "{problems:?}");
+        let resized =
+            fresh.replace("\"size\": 512, \"threads\": 2", "\"size\": 1024, \"threads\": 2");
+        let problems = gate_profile(&resized, &fresh, 25.0, 10.0);
+        assert!(problems.iter().any(|p| p.contains("largest sweep point")), "{problems:?}");
     }
 
     fn osed_json(allocs: u64, ratio: f64, installed: bool) -> String {
