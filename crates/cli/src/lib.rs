@@ -22,7 +22,6 @@
 //! * `audit` — dump the serving engine's flight recorder: newest or
 //!   slowest audit records, filtered by class or dispatch reason, plus
 //!   the slow-request trace exemplars;
-//! * `bench-engine` — offline throughput run against the engine;
 //! * `trace` — run any other subcommand with tracing on and export the
 //!   recorded timeline (Chrome-tracing JSON or a plain-text tree);
 //! * `bench-obs` — measure the observability tax: the same wavefront
@@ -204,7 +203,6 @@ pub fn dispatch(cmd: &str, rest: &[String]) -> Result<String, CliError> {
         "trace" => cmd_trace(rest),
         "profile" => cmd_profile(rest),
         "bench-profile" => cmd_bench_profile(rest),
-        "bench-engine" => cmd_bench_engine(rest),
         "bench-baseline" => cmd_bench_baseline(rest),
         "bench-obs" => cmd_bench_obs(rest),
         "bench-mem" => cmd_bench_mem(rest),
@@ -270,8 +268,6 @@ usage:
                                     the timeline (chrome://tracing JSON
                                     with --out/--format chrome, plain-text
                                     span tree otherwise)
-  slcs bench-engine [--requests N] [--pairs N] [--len N] [--sigma S]
-                    [--trace FILE]  offline engine throughput run
   slcs bench-baseline [--quick] [--sizes N,N] [--threads N,N] [--grain N,N]
                       [--runs N] [--out FILE] [--trace FILE]
                                     anti-diagonal scheduling benchmark
@@ -867,82 +863,6 @@ fn cmd_trace(rest: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_bench_engine(rest: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(
-        rest,
-        &[
-            "requests", "pairs", "len", "sigma", "window", "workers", "queue", "cache", "seed",
-            "trace",
-        ],
-        &[],
-    )?;
-    let trace_path = opts.value("trace").map(str::to_string);
-    let requests: usize = opts.value_parsed("requests")?.unwrap_or(200);
-    let pairs: usize = opts.value_parsed("pairs")?.unwrap_or(8).max(1);
-    let len: usize = opts.value_parsed("len")?.unwrap_or(256).max(1);
-    let sigma: u8 = opts.value_parsed("sigma")?.unwrap_or(4).max(1);
-    let window: usize = opts.value_parsed("window")?.unwrap_or(len / 2).clamp(1, len);
-    let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
-    let engine = engine_from_opts(&opts)?;
-
-    use slcs_datagen::uniform_string;
-    type Pair = (std::sync::Arc<[u8]>, std::sync::Arc<[u8]>);
-    let mut rng = slcs_datagen::seeded_rng(seed);
-    let pool: Vec<Pair> = (0..pairs)
-        .map(|_| {
-            (
-                uniform_string(&mut rng, len, sigma).into(),
-                uniform_string(&mut rng, len, sigma).into(),
-            )
-        })
-        .collect();
-
-    if trace_path.is_some() {
-        slcs_trace::enable_fresh();
-    }
-    let started = std::time::Instant::now();
-    let mut tickets = Vec::with_capacity(requests);
-    let mut retries = 0u64;
-    for i in 0..requests {
-        let (a, b) = &pool[i % pairs];
-        let op = match i % 3 {
-            0 => slcs_engine::Operation::Lcs,
-            1 => slcs_engine::Operation::Windows { w: window },
-            _ => slcs_engine::Operation::Edit { w: Some(window) },
-        };
-        let req = slcs_engine::CompareRequest::new(a.clone(), b.clone(), op);
-        loop {
-            match engine.submit(req.clone()) {
-                slcs_engine::Submit::Accepted(t) => {
-                    tickets.push(t);
-                    break;
-                }
-                slcs_engine::Submit::QueueFull => {
-                    retries += 1;
-                    std::thread::yield_now();
-                }
-                slcs_engine::Submit::Invalid(why) => return Err(err(why)),
-            }
-        }
-    }
-    for t in tickets {
-        t.wait().map_err(|e| err(e.to_string()))?;
-    }
-    let elapsed = started.elapsed();
-    let stats = engine.shutdown();
-    let rate = requests as f64 / elapsed.as_secs_f64();
-    let mut out = format!(
-        "{requests} requests over {pairs} pairs of {len}x{len} (sigma {sigma}) \
-         in {elapsed:.2?} — {rate:.0} req/s, {retries} backpressure retries\n"
-    );
-    writeln!(out, "{stats}").unwrap(); // PANIC: fmt to String is infallible
-    if let Some(path) = trace_path {
-        slcs_trace::set_enabled(false);
-        out.push_str(&write_timeline(&slcs_trace::drain(), &path, true)?);
-    }
-    Ok(out)
-}
-
 /// Parses a comma-separated list flag, e.g. `--sizes 4096,16384`.
 fn list_flag(opts: &Options, name: &str, default: &[usize]) -> Result<Vec<usize>, CliError> {
     match opts.value(name) {
@@ -954,44 +874,13 @@ fn list_flag(opts: &Options, name: &str, default: &[usize]) -> Result<Vec<usize>
     }
 }
 
-/// Median wall-clock time of `runs` executions (one warmup).
-fn median_time<R>(runs: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
-    std::hint::black_box(f());
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs.max(1) {
-        let t = std::time::Instant::now();
-        std::hint::black_box(f());
-        samples.push(t.elapsed());
-    }
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
-/// Minimum wall-clock time of `runs` executions (one warmup). The min
-/// is the right estimator when comparing variants of the same workload
-/// under machine noise — contention only ever inflates a sample, so
-/// the fastest observation is the closest to the true cost. `bench-obs`
-/// uses it because its output is a *difference* of timings, and
-/// `bench-baseline` because its output is a *ratio* of timings, both
-/// of which the median leaves far too noisy for `xtask perf-gate` at
-/// quick sizes.
-fn min_time<R>(runs: usize, mut f: impl FnMut() -> R) -> std::time::Duration {
-    std::hint::black_box(f());
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..runs.max(1) {
-        let t = std::time::Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed());
-    }
-    best
-}
-
-/// [`min_time`] for `N` variants of one workload, interleaved: each of
-/// `runs` rounds (after one warmup round) runs `run(0)`, …, `run(N−1)`
-/// back to back, so machine drift during the batch hits every variant
-/// alike. `bench-obs` and `bench-profile` report *differences* of these
-/// minima, which separate batches leave dominated by drift once the
-/// measured sweep is only ~1 ms long.
+/// Minimum wall-clock time of each of `N` variants of one workload over
+/// `runs` rounds, after one warmup round; each round runs `run(0)`, …,
+/// `run(N−1)` back to back, so machine drift during the batch hits every
+/// variant alike. The min is the estimator every bench reports:
+/// contention only ever inflates a sample, so the fastest observation is
+/// the closest to the true cost, and the differences and ratios of
+/// timings that `xtask perf-gate` reads stay stable at quick sizes.
 fn interleaved_min<const N: usize>(
     runs: usize,
     mut run: impl FnMut(usize),
@@ -1009,6 +898,121 @@ fn interleaved_min<const N: usize>(
     best
 }
 
+/// A flat scalar of a bench artifact: a config value, a row label or a
+/// metric.
+enum Scalar {
+    Int(u64),
+    Num(f64),
+    Text(String),
+    Flag(bool),
+}
+
+macro_rules! scalar_from {
+    ($($t:ty => $arm:ident($conv:expr)),* $(,)?) => {
+        $(impl From<$t> for Scalar {
+            fn from(v: $t) -> Self {
+                Scalar::$arm($conv(v))
+            }
+        })*
+    };
+}
+scalar_from!(u64 => Int(|v| v), usize => Int(|v| v as u64), f64 => Num(|v| v),
+             &str => Text(str::to_string), String => Text(|v| v), bool => Flag(|v| v));
+
+impl std::fmt::Display for Scalar {
+    /// JSON text. Floats keep at least three decimals and four
+    /// significant digits; a non-finite one is `null`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Scalar::Int(v) => write!(f, "{v}"),
+            Scalar::Num(v) if !v.is_finite() => write!(f, "null"),
+            Scalar::Num(v) => {
+                let magnitude = if *v == 0.0 { 0.0 } else { v.abs().log10().floor() };
+                write!(f, "{v:.*}", (3.0 - magnitude).clamp(3.0, 9.0) as usize)
+            }
+            Scalar::Text(v) => write!(f, "\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
+            Scalar::Flag(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+type Fields = Vec<(&'static str, Scalar)>;
+
+/// `fields!{size: n, mode: "seq"}` — named scalars in order.
+macro_rules! fields {
+    ($($key:ident: $value:expr),* $(,)?) => {
+        vec![$((stringify!($key), Scalar::from($value))),*]
+    };
+}
+
+/// One bench-artifact row: its labels (what was measured) and metrics.
+type Row = (Fields, Fields);
+
+/// The host's core count, as every artifact reports it.
+fn host_nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Default thread counts: 1, 2, 4, … up to `max` or the host's core
+/// count, whichever is lower (and always including it), so no default
+/// oversubscribes.
+fn thread_ladder(max: usize) -> Vec<usize> {
+    let top = host_nproc().min(max);
+    let mut ladder: Vec<usize> =
+        std::iter::successors(Some(1), |t| Some(t * 2)).take_while(|&t| t < top).collect();
+    ladder.push(top);
+    ladder
+}
+
+/// Writes the bench artifact every `bench-*` command emits, in the one
+/// schema `cargo xtask perf-gate` reads:
+///
+/// ```text
+/// {"bench": …, "host": {"nproc", "isa"}, "config": {…},
+///  "rows": [{"labels": {…}, "metrics": {…}}, …]}
+/// ```
+///
+/// Config values, labels and metrics are flat scalars. A row whose
+/// `threads` (its label, else the config's) exceeds `host.nproc` is
+/// labelled `oversubscribed: true`. Returns the report's `[written …]`
+/// line.
+fn write_bench_json(
+    path: &str,
+    bench: &str,
+    config: Fields,
+    rows: Vec<Row>,
+) -> Result<String, CliError> {
+    fn object(fields: &Fields) -> String {
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        format!("{{{}}}", body.join(", "))
+    }
+    let threads = |fields: &Fields| {
+        fields.iter().find_map(|(k, v)| match (k, v) {
+            (&"threads", Scalar::Int(t)) => Some(*t),
+            _ => None,
+        })
+    };
+    let nproc = host_nproc();
+    let rows: Vec<String> = rows
+        .into_iter()
+        .map(|(mut labels, metrics)| {
+            if threads(&labels).or(threads(&config)).is_some_and(|t| t > nproc as u64) {
+                labels.push(("oversubscribed", Scalar::Flag(true)));
+            }
+            format!("    {{\"labels\": {}, \"metrics\": {}}}", object(&labels), object(&metrics))
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host\": {{\"nproc\": {nproc}, \"isa\": \"{}\"}},\n  \
+         \"config\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        slcs_semilocal::simd_support(),
+        object(&config),
+        rows.join(",\n")
+    );
+    std::fs::write(path, json).map_err(|e| err(format!("cannot write {path}: {e}")))?;
+    Ok(format!("[written {path}]\n"))
+}
+
 /// `slcs bench-baseline` — the wavefront schedule benchmark
 /// (`BENCH_pool.json`). Per size it times the sequential sweep (`seq`,
 /// t=1) and, at every thread count ≥ 2, the work-stealing sweep at each
@@ -1020,18 +1024,6 @@ fn interleaved_min<const N: usize>(
 fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     use slcs_semilocal::{auto_plan, par_antidiag_combing_branchless_sched, Scheduling};
 
-    /// One artifact row; `route` is set on planned rows, `grain` on
-    /// parallel ones.
-    struct Row {
-        size: usize,
-        threads: usize,
-        mode: &'static str,
-        route: Option<&'static str>,
-        grain: Option<usize>,
-        ns: f64,
-        ms: f64,
-    }
-
     let opts = Options::parse(
         rest,
         &["sizes", "threads", "grain", "runs", "out", "seed", "trace"],
@@ -1039,7 +1031,8 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     )?;
     let quick = opts.has("quick");
     let sizes = list_flag(&opts, "sizes", if quick { &[1024] } else { &[4096, 16384] })?;
-    let threads = list_flag(&opts, "threads", if quick { &[1, 2] } else { &[1, 2, 4, 8] })?;
+    let ladder = thread_ladder(if quick { 2 } else { usize::MAX });
+    let threads = list_flag(&opts, "threads", &ladder)?;
     // Full-sweep grain: largest grid ÷ largest thread count, so every
     // budget in the sweep can actually form a full team (the production
     // default of 8192 would cap the 16384² grid at two chunks per
@@ -1051,16 +1044,16 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(if quick { 1 } else { 3 });
     let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
     let out_path = opts.value("out").unwrap_or("BENCH_pool.json").to_string();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let isa = slcs_semilocal::simd_support();
 
     let mut rows: Vec<Row> = Vec::new();
     let mut report = String::from("anti-diagonal combing scheduling benchmark\n");
     writeln!(
         report,
         "grains={grains:?} plan_grain={} runs={runs} sizes={sizes:?} threads={threads:?} \
-         nproc={nproc} isa={isa}",
-        slcs_semilocal::PAR_GRAIN
+         nproc={} isa={}",
+        slcs_semilocal::PAR_GRAIN,
+        host_nproc(),
+        slcs_semilocal::simd_support()
     )
     .unwrap(); // PANIC: fmt to String is infallible
     for &n in &sizes {
@@ -1069,39 +1062,34 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
         let b = slcs_datagen::uniform_string(&mut rng, n, 4);
         let cells = (n as f64) * (n as f64);
         // min-of-N, not median-of-N: perf-gate compares row *ratios*,
-        // and contention only ever inflates a sample (see `min_time`).
-        // Returns (ns/cell, millis).
+        // and contention only ever inflates a sample (see
+        // `interleaved_min`). Returns (ns/cell, millis).
         let time = |sched: Scheduling, g: usize| {
-            let d = min_time(runs, || par_antidiag_combing_branchless_sched(&a, &b, sched, g));
+            let [d] = interleaved_min(runs, |_| {
+                std::hint::black_box(par_antidiag_combing_branchless_sched(&a, &b, sched, g));
+            });
             (d.as_nanos() as f64 / cells, d.as_secs_f64() * 1e3)
         };
         let (seq_ns, seq_ms) = time(Scheduling::Seq, 1);
-        rows.push(Row {
-            size: n,
-            threads: 1,
-            mode: "seq",
-            route: None,
-            grain: None,
-            ns: seq_ns,
-            ms: seq_ms,
-        });
+        rows.push((
+            fields! {size: n, threads: 1usize, mode: "seq"},
+            fields! {ns_per_cell: seq_ns, millis: seq_ms},
+        ));
         writeln!(report, "  {n}x{n}  seq                     t=1  {seq_ns:8.3} ns/cell").unwrap(); // PANIC: fmt to String is infallible
         for &t in threads.iter().filter(|&&t| t >= 2) {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(t)
                 .build()
                 .map_err(|e| err(e.to_string()))?;
+            // (grain, ns/cell, millis) of each work_steal row at this t.
+            let mut steal = Vec::new();
             for &g in &grains {
                 let (ns, ms) = pool.install(|| time(Scheduling::WorkSteal, g));
-                rows.push(Row {
-                    size: n,
-                    threads: t,
-                    mode: "work_steal",
-                    route: None,
-                    grain: Some(g),
-                    ns,
-                    ms,
-                });
+                steal.push((g, ns, ms));
+                rows.push((
+                    fields! {size: n, threads: t, mode: "work_steal", grain: g},
+                    fields! {ns_per_cell: ns, millis: ms},
+                ));
                 writeln!(
                     report,
                     "  {n}x{n}  work_steal grain={g:<6} t={t}  {ns:8.3} ns/cell  \
@@ -1113,22 +1101,16 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
             let (route, plan_grain) = auto_plan(n, n, t);
             let (ns, ms) = match route {
                 Scheduling::Seq => (seq_ns, seq_ms),
-                Scheduling::WorkSteal => match rows.iter().find(|r| {
-                    (r.size, r.threads, r.mode, r.grain) == (n, t, "work_steal", Some(plan_grain))
-                }) {
-                    Some(r) => (r.ns, r.ms),
+                Scheduling::WorkSteal => match steal.iter().find(|r| r.0 == plan_grain) {
+                    Some(&(_, ns, ms)) => (ns, ms),
                     None => pool.install(|| time(Scheduling::WorkSteal, plan_grain)),
                 },
             };
-            rows.push(Row {
-                size: n,
-                threads: t,
-                mode: "planned",
-                route: Some(route.token()),
-                grain: Some(plan_grain),
-                ns,
-                ms,
-            });
+            rows.push((
+                fields! {size: n, threads: t, mode: "planned", route: route.token(),
+                grain: plan_grain},
+                fields! {ns_per_cell: ns, millis: ms},
+            ));
             writeln!(
                 report,
                 "  {n}x{n}  planned ({:<10})    t={t}  {ns:8.3} ns/cell  ({:.2}x seq time)",
@@ -1139,34 +1121,13 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
         }
     }
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"bench-baseline\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"par_antidiag_combing_branchless\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"unit\": \"ns_per_cell\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"nproc\": {nproc},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"isa\": \"{isa}\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"grains\": {grains:?},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"plan_grain\": {},", slcs_semilocal::PAR_GRAIN).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"pool_spawned_workers\": {},", rayon::pool_spawned_workers()).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let route = r.route.map(|v| format!(", \"route\": \"{v}\"")).unwrap_or_default();
-        let grain = r.grain.map(|g| format!(", \"grain\": {g}")).unwrap_or_default();
-        writeln!(
-            json,
-            "    {{\"size\": {}, \"threads\": {}, \"mode\": \"{}\"{route}{grain}, \
-             \"ns_per_cell\": {:.4}, \"millis\": {:.3}}}{comma}",
-            r.size, r.threads, r.mode, r.ns, r.ms
-        )
-        .unwrap(); // PANIC: fmt to String is infallible
-    }
-    writeln!(json, "  ]").unwrap(); // PANIC: fmt to String is infallible
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
+    let grain_list: Vec<String> = grains.iter().map(usize::to_string).collect();
+    let config = fields! {
+        algorithm: "par_antidiag_combing_branchless", unit: "ns_per_cell", quick: quick,
+        grains: grain_list.join(","), plan_grain: slcs_semilocal::PAR_GRAIN, runs: runs,
+        pool_spawned_workers: rayon::pool_spawned_workers(),
+    };
+    report.push_str(&write_bench_json(&out_path, "bench-baseline", config, rows)?);
 
     if let Some(trace_path) = opts.value("trace") {
         // One extra traced pass, separate from the timed runs above so
@@ -1239,20 +1200,24 @@ fn cmd_bench_baseline(rest: &[String]) -> Result<String, CliError> {
 ///   default: each span site costs one relaxed load and branch);
 /// * `enabled`  — tracing on, events recorded into the ring buffers.
 ///
-/// `overhead_disabled_percent` in the JSON report is the headline
-/// number: what merely *linking* the instrumentation costs.
+/// The `disabled` row's `overhead_percent` is the headline number:
+/// what merely *linking* the instrumentation costs.
 ///
 /// A fourth A/B measures the serving-path bookkeeping: a batch of
 /// small LCS requests through two engines, one with the flight
-/// recorder and rolling windows disabled and one with the defaults.
-/// `overhead_recorder_percent` is that delta; `cargo xtask perf-gate`
-/// holds it to the same slack as the trace overheads.
+/// recorder and rolling windows disabled and one with the defaults
+/// (`recorder_off` and `recorder_on` rows); the `recorder_on` row's
+/// `overhead_percent` is that delta, and `cargo xtask perf-gate` holds
+/// it to the same slack as the trace overheads.
 fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
     let opts =
         Options::parse(rest, &["size", "threads", "grain", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let size: usize = opts.value_parsed("size")?.unwrap_or(if quick { 1024 } else { 16384 });
-    let threads: usize = opts.value_parsed("threads")?.unwrap_or(if quick { 2 } else { 8 }).max(1);
+    let threads: usize = opts
+        .value_parsed("threads")?
+        .unwrap_or(if quick { 2 } else { usize::MAX }.min(host_nproc()))
+        .max(1);
     let grain: usize = opts.value_parsed("grain")?.unwrap_or(if quick { 256 } else { 2048 }).max(1);
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(if quick { 1 } else { 3 });
     let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
@@ -1362,26 +1327,30 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
     .unwrap(); // PANIC: fmt to String is infallible
     writeln!(report, "  recorder+windows on      {:9.2} ms  ({rec_pct:+.2}%)", ms(rec_on)).unwrap(); // PANIC: fmt to String is infallible
 
-    let json = format!(
-        "{{\n  \"bench\": \"bench-obs\",\n  \"algorithm\": \"par_antidiag_combing_branchless\",\n  \
-         \"size\": {size},\n  \"threads\": {threads},\n  \"par_grain\": {grain},\n  \
-         \"runs\": {runs},\n  \"quick\": {quick},\n  \
-         \"untraced_millis\": {:.3},\n  \"disabled_millis\": {:.3},\n  \
-         \"enabled_millis\": {:.3},\n  \"overhead_disabled_percent\": {dis_pct:.3},\n  \
-         \"overhead_enabled_percent\": {en_pct:.3},\n  \
-         \"trace_events_recorded\": {},\n  \"trace_events_dropped\": {},\n  \
-         \"recorder_requests\": {rec_requests},\n  \"recorder_off_millis\": {:.3},\n  \
-         \"recorder_on_millis\": {:.3},\n  \"overhead_recorder_percent\": {rec_pct:.3}\n}}\n",
-        ms(untraced),
-        ms(disabled),
-        ms(enabled),
-        trace_stats.recorded,
-        trace_stats.dropped,
-        ms(rec_off),
-        ms(rec_on),
-    );
-    std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
+    let config = fields! {
+        algorithm: "par_antidiag_combing_branchless", size: size, par_grain: grain, runs: runs,
+        quick: quick,
+    };
+    let rows = vec![
+        (fields! {variant: "untraced", threads: threads}, fields! {millis: ms(untraced)}),
+        (
+            fields! {variant: "disabled", threads: threads},
+            fields! {millis: ms(disabled), overhead_percent: dis_pct},
+        ),
+        (
+            fields! {variant: "enabled", threads: threads},
+            fields! {
+                millis: ms(enabled), overhead_percent: en_pct,
+                trace_events_recorded: trace_stats.recorded, trace_events_dropped: trace_stats.dropped,
+            },
+        ),
+        (fields! {variant: "recorder_off", requests: rec_requests}, fields! {millis: ms(rec_off)}),
+        (
+            fields! {variant: "recorder_on", requests: rec_requests},
+            fields! {millis: ms(rec_on), overhead_percent: rec_pct},
+        ),
+    ];
+    report.push_str(&write_bench_json(&out_path, "bench-obs", config, rows)?);
     Ok(report)
 }
 
@@ -1394,7 +1363,7 @@ fn cmd_bench_obs(rest: &[String]) -> Result<String, CliError> {
 /// [`slcs_alloc::AllocScope`] (after a warmup multiply, so one-time
 /// setup such as the workspace itself or precalc tables is excluded)
 /// to count this thread's allocations and the scope-local peak of
-/// live bytes, then again under [`median_time`] for wall clock.
+/// live bytes, then again under [`interleaved_min`] for wall clock.
 /// Allocation counts are deterministic for a fixed seed/order, which
 /// is what lets `cargo xtask perf-gate` compare them exactly.
 fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
@@ -1437,7 +1406,7 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
         let scope = slcs_alloc::AllocScope::enter(None);
         batch();
         let d = scope.delta();
-        let wall = median_time(runs, batch);
+        let [wall] = interleaved_min(runs, |_| batch());
         rows.push(("naive", d.allocs, d.alloc_bytes, d.peak_live_delta, wall.as_secs_f64() * 1e3));
     }
 
@@ -1452,7 +1421,7 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
             std::hint::black_box(ws.multiply(p, q, None));
         }
         let d = scope.delta();
-        let wall = median_time(runs, || {
+        let [wall] = interleaved_min(runs, |_| {
             for (p, q) in &pairs {
                 std::hint::black_box(ws.multiply(p, q, None));
             }
@@ -1481,28 +1450,20 @@ fn cmd_bench_mem(rest: &[String]) -> Result<String, CliError> {
         .unwrap(); // PANIC: fmt to String is infallible
     }
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"bench-mem\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"steady_ant\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"order\": {size},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"multiplies\": {mults},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"allocator_installed\": {installed},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"variants\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (name, allocs, bytes, peak, ms)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"allocs\": {allocs}, \"alloc_bytes\": {bytes}, \
-             \"peak_live_bytes\": {peak}, \"millis\": {ms:.3}}}{comma}"
-        )
-        .unwrap(); // PANIC: fmt to String is infallible
-    }
-    writeln!(json, "  ]").unwrap(); // PANIC: fmt to String is infallible
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
+    let config = fields! {
+        algorithm: "steady_ant", order: size, multiplies: mults, runs: runs, quick: quick,
+        allocator_installed: installed,
+    };
+    let rows = rows
+        .iter()
+        .map(|&(name, allocs, bytes, peak, ms)| {
+            (
+                fields! {variant: name},
+                fields! {allocs: allocs, alloc_bytes: bytes, peak_live_bytes: peak, millis: ms},
+            )
+        })
+        .collect();
+    report.push_str(&write_bench_json(&out_path, "bench-mem", config, rows)?);
     Ok(report)
 }
 
@@ -1559,11 +1520,17 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
         }
         Ok(d)
     };
+    // Sequential and parallel BFS, timed interleaved.
+    let osed_times = |a: &[u8], b: &[u8]| {
+        interleaved_min(runs, |v| {
+            let bfs = [slcs_osed::edit_distance, slcs_osed::par_edit_distance][v];
+            std::hint::black_box(bfs(a, b));
+        })
+    };
     let mut report = format!(
         "output-sensitive edit distance vs full-grid, sizes {sizes:?}, \
          similarities {sims:?}, {runs} run(s), {threads} thread(s)\n"
     );
-    let mut grids = Vec::new(); // (size, dp_ms, index_ms)
     let mut rows = Vec::new();
     for &n in &sizes {
         // Grid timings are oblivious to string content, so one pair per
@@ -1586,7 +1553,10 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
             "  {n}: dp {dp_ms:10.2} ms   edit-index {index_ms:10.2} ms   (d = {dp} at 99%)"
         )
         .unwrap(); // PANIC: fmt to String is infallible
-        grids.push((n, dp_ms, index_ms));
+        rows.push((
+            fields! {table: "grid", size: n},
+            fields! {dp_millis: dp_ms, edit_index_millis: index_ms},
+        ));
         for &sim in &sims {
             let mut rng = slcs_datagen::seeded_rng(seed.wrapping_add((sim * 1e4) as u64));
             let (a, b) = slcs_datagen::similar_pair(&mut rng, n, 4, 1.0 - sim);
@@ -1596,12 +1566,13 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
             }
             let op = slcs_engine::Operation::Edit { w: None };
             let route = slcs_engine::dispatch::decide(&op, &a, &b, 1).reason;
-            let probe = median_time(runs, || slcs_engine::dispatch::decide(&op, &a, &b, 1));
+            let [probe] = interleaved_min(runs, |_| {
+                std::hint::black_box(slcs_engine::dispatch::decide(&op, &a, &b, 1));
+            });
             let scope = slcs_alloc::AllocScope::enter(None);
             std::hint::black_box(slcs_osed::edit_distance(&a, &b));
             let alloc = scope.delta();
-            let seq = ms(median_time(runs, || slcs_osed::edit_distance(&a, &b)));
-            let par = ms(median_time(runs, || slcs_osed::par_edit_distance(&a, &b)));
+            let [seq, par] = osed_times(&a, &b).map(ms);
             let ratio = seq.min(par) / best_grid_ms;
             let routed_ms =
                 if route == slcs_engine::DispatchReason::EditSimilar { seq } else { index_ms };
@@ -1616,23 +1587,19 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
                 route.token(),
             )
             .unwrap(); // PANIC: fmt to String is infallible
-            rows.push(format!(
-                "{{\"size\": {n}, \"similarity\": {sim}, \"distance\": {d}, \
-                 \"osed_millis\": {seq:.3}, \"osed_par_millis\": {par:.3}, \
-                 \"allocs\": {}, \"alloc_bytes\": {}, \"peak_live_bytes\": {}, \
-                 \"probe_micros\": {:.2}, \"route\": \"{}\", \
-                 \"dispatch_millis\": {dispatch_ms:.3}, \"ratio_vs_best_grid\": {ratio:.5}}}",
-                alloc.allocs,
-                alloc.alloc_bytes,
-                alloc.peak_live_delta,
-                probe.as_secs_f64() * 1e6,
-                route.token(),
+            rows.push((
+                fields! {table: "similarity", size: n, similarity: sim, route: route.token()},
+                fields! {
+                    distance: d, osed_millis: seq, osed_par_millis: par, allocs: alloc.allocs,
+                    alloc_bytes: alloc.alloc_bytes, peak_live_bytes: alloc.peak_live_delta,
+                    probe_micros: probe.as_secs_f64() * 1e6, dispatch_millis: dispatch_ms,
+                    ratio_vs_best_grid: ratio,
+                },
             ));
         }
     }
 
     writeln!(report, "periodic worst cases at size {PERIODIC_LEN}:").unwrap(); // PANIC: fmt to String is infallible
-    let mut periodic = Vec::new();
     for period in [1u8, 4, 64] {
         for divergence in [0.0001, 0.01] {
             let mut rng = slcs_datagen::seeded_rng(seed.wrapping_add(u64::from(period)));
@@ -1641,8 +1608,7 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
             let model = slcs_datagen::MutationModel::with_divergence(divergence);
             let b = slcs_datagen::mutate_symbols(&mut rng, &a, &model, period.max(2));
             let d = check(&a, &b, &format!("period {period}, divergence {divergence}"))?;
-            let seq = ms(median_time(runs, || slcs_osed::edit_distance(&a, &b)));
-            let par = ms(median_time(runs, || slcs_osed::par_edit_distance(&a, &b)));
+            let [seq, par] = osed_times(&a, &b).map(ms);
             writeln!(
                 report,
                 "  period {period:>2} @ {:5.2}% divergence  d={d:<6} osed {seq:9.3} ms \
@@ -1650,38 +1616,19 @@ fn cmd_bench_osed(rest: &[String]) -> Result<String, CliError> {
                 100.0 * divergence
             )
             .unwrap(); // PANIC: fmt to String is infallible
-            periodic.push(format!(
-                "{{\"size\": {PERIODIC_LEN}, \"period\": {period}, \"divergence\": {divergence}, \
-                 \"distance\": {d}, \"osed_millis\": {seq:.3}, \"osed_par_millis\": {par:.3}}}"
+            rows.push((
+                fields! {table: "periodic", size: PERIODIC_LEN, period: u64::from(period),
+                divergence: divergence},
+                fields! {distance: d, osed_millis: seq, osed_par_millis: par},
             ));
         }
     }
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"bench-osed\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"landau_vishkin_direct\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"unit\": \"millis\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"sigma\": 4,").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"threads\": {threads},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"allocator_installed\": {installed},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"grids\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, dp_ms, index_ms)) in grids.iter().enumerate() {
-        let comma = if i + 1 < grids.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"size\": {n}, \"dp_millis\": {dp_ms:.3}, \
-             \"edit_index_millis\": {index_ms:.3}}}{comma}"
-        )
-        .unwrap(); // PANIC: fmt to String is infallible
-    }
-    writeln!(json, "  ],").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"rows\": [\n    {}\n  ],", rows.join(",\n    ")).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"periodic\": [\n    {}\n  ]", periodic.join(",\n    ")).unwrap(); // PANIC: fmt to String is infallible
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
+    let config = fields! {
+        algorithm: "landau_vishkin_direct", unit: "millis", quick: quick, runs: runs, sigma: 4usize,
+        threads: threads, allocator_installed: installed,
+    };
+    report.push_str(&write_bench_json(&out_path, "bench-osed", config, rows)?);
     Ok(report)
 }
 
@@ -1785,7 +1732,10 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
         _ => return Err(err("profile takes at most one workload (wavefront | braid)")),
     };
     let size: usize = opts.value_parsed("size")?.unwrap_or(if quick { 1024 } else { 16384 }).max(4);
-    let threads: usize = opts.value_parsed("threads")?.unwrap_or(if quick { 2 } else { 8 }).max(1);
+    let threads: usize = opts
+        .value_parsed("threads")?
+        .unwrap_or(if quick { 2 } else { usize::MAX }.min(host_nproc()))
+        .max(1);
     let grain: usize = opts.value_parsed("grain")?.unwrap_or(if quick { 256 } else { 2048 }).max(1);
     let topk: usize = opts.value_parsed("topk")?.unwrap_or(5).max(1);
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(1);
@@ -1798,7 +1748,7 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
         .map_err(|e| err(e.to_string()))?;
     // Measured T1 first, outside the profiled window, so the sequential
     // baseline never pollutes the phase counters or the timeline.
-    let t1 = min_time(runs, &*seq_run);
+    let [t1] = interleaved_min(runs, |_| seq_run());
     // Force the workers into existence before the window: thread spawn
     // cost is setup, not workload time.
     rayon::team_run(threads, |_| {});
@@ -1897,18 +1847,20 @@ fn cmd_profile(rest: &[String]) -> Result<String, CliError> {
 /// the profiler's own overhead at the largest sweep point, measured
 /// twice:
 ///
-/// * `overhead_off_percent` — an A/A run (profiling off vs profiling
-///   off): the disabled profiler costs one relaxed load per phase
-///   hook, so this number bounds machine noise + that load, and
-///   `cargo xtask perf-gate` pins it near zero;
-/// * `overhead_on_percent` — profiling on (tracing off) vs off: the
-///   full cost of live phase accounting.
+/// * the `profiler_off_b` row's `overhead_percent` — an A/A run
+///   (profiling off vs the `profiler_off_a` row, also off): the
+///   disabled profiler costs one relaxed load per phase hook, so this
+///   number bounds machine noise + that load, and `cargo xtask
+///   perf-gate` pins it near zero;
+/// * the `profiler_on` row's `overhead_percent` — profiling on (tracing
+///   off) vs off: the full cost of live phase accounting.
 fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
     let opts =
         Options::parse(rest, &["sizes", "threads", "grain", "runs", "out", "seed"], &["quick"])?;
     let quick = opts.has("quick");
     let sizes = list_flag(&opts, "sizes", if quick { &[512] } else { &[16384] })?;
-    let threads = list_flag(&opts, "threads", if quick { &[1, 2] } else { &[1, 2, 4, 8] })?;
+    let ladder = thread_ladder(if quick { 2 } else { usize::MAX });
+    let threads = list_flag(&opts, "threads", &ladder)?;
     let grain: usize = opts.value_parsed("grain")?.unwrap_or(if quick { 128 } else { 2048 }).max(1);
     let runs: usize = opts.value_parsed("runs")?.unwrap_or(if quick { 1 } else { 3 });
     let seed: u64 = opts.value_parsed("seed")?.unwrap_or(42);
@@ -1933,9 +1885,7 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
 
     let mut report = String::from("parallelism profiler benchmark\n");
     writeln!(report, "grain={grain} runs={runs} sizes={sizes:?} threads={threads:?}").unwrap(); // PANIC: fmt to String is infallible
-                                                                                                // (size, threads, util, pi, busy, steal, idle, barrier, millis)
-    #[allow(clippy::type_complexity)]
-    let mut rows: Vec<(usize, usize, f64, f64, u64, u64, u64, u64, f64)> = Vec::new();
+    let mut rows = Vec::new();
     for &n in &sizes {
         let mut rng = slcs_datagen::seeded_rng(seed);
         let a = slcs_datagen::uniform_string(&mut rng, n, 4);
@@ -1971,7 +1921,13 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
                 100.0 * util
             )
             .unwrap(); // PANIC: fmt to String is infallible
-            rows.push((n, t, util, pi, busy, steal, idle, barrier, millis));
+            rows.push((
+                fields! {size: n, threads: t, mode: "work_steal"},
+                fields! {
+                    utilization: util, parallelism: pi, busy_ns: busy, steal_ns: steal,
+                    idle_ns: idle, barrier_ns: barrier, millis: millis,
+                },
+            ));
         }
     }
 
@@ -2006,36 +1962,20 @@ fn cmd_bench_profile(rest: &[String]) -> Result<String, CliError> {
     )
     .unwrap(); // PANIC: fmt to String is infallible
 
-    let mut json = String::from("{\n");
-    writeln!(json, "  \"bench\": \"bench-profile\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"algorithm\": \"par_antidiag_combing_branchless\",").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"quick\": {quick},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"par_grain\": {grain},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"runs\": {runs},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"pool_spawned_workers\": {},", rayon::pool_spawned_workers()).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"overhead_size\": {n},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"overhead_threads\": {max_threads},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"profiler_off_a_millis\": {:.3},", msd(off_a)).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"profiler_off_b_millis\": {:.3},", msd(off_b)).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"profiler_on_millis\": {:.3},", msd(on)).unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"overhead_off_percent\": {off_pct:.3},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"overhead_on_percent\": {on_pct:.3},").unwrap(); // PANIC: fmt to String is infallible
-    writeln!(json, "  \"rows\": [").unwrap(); // PANIC: fmt to String is infallible
-    for (i, (n, t, util, pi, busy, steal, idle, barrier, millis)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{\"size\": {n}, \"threads\": {t}, \"mode\": \"work_steal\", \
-             \"utilization\": {util:.4}, \"parallelism\": {pi:.4}, \"busy_ns\": {busy}, \
-             \"steal_ns\": {steal}, \"idle_ns\": {idle}, \"barrier_ns\": {barrier}, \
-             \"millis\": {millis:.3}}}{comma}"
-        )
-        .unwrap(); // PANIC: fmt to String is infallible
+    for (variant, d, overhead) in [
+        ("profiler_off_a", off_a, None),
+        ("profiler_off_b", off_b, Some(off_pct)),
+        ("profiler_on", on, Some(on_pct)),
+    ] {
+        let mut metrics = fields! {millis: msd(d)};
+        metrics.extend(overhead.map(|pct| ("overhead_percent", Scalar::from(pct))));
+        rows.push((fields! {variant: variant, size: n, threads: max_threads}, metrics));
     }
-    writeln!(json, "  ]").unwrap(); // PANIC: fmt to String is infallible
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    writeln!(report, "[written {out_path}]").unwrap(); // PANIC: fmt to String is infallible
+    let config = fields! {
+        algorithm: "par_antidiag_combing_branchless", quick: quick, par_grain: grain, runs: runs,
+        pool_spawned_workers: rayon::pool_spawned_workers(),
+    };
+    report.push_str(&write_bench_json(&out_path, "bench-profile", config, rows)?);
     Ok(report)
 }
 
@@ -2062,6 +2002,43 @@ mod tests {
     fn run(cmd: &str, args: &[&str]) -> Result<String, CliError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         dispatch(cmd, &args)
+    }
+
+    /// The number after `"key": ` on the first artifact row (one per
+    /// line) that contains every marker.
+    fn row_metric(json: &str, markers: &[&str], key: &str) -> f64 {
+        let line = json.lines().find(|l| markers.iter().all(|m| l.contains(m)));
+        let line = line.unwrap_or_else(|| panic!("no row with {markers:?} in:\n{json}"));
+        let rest = line.split(&format!("\"{key}\": ")).nth(1);
+        let rest = rest.unwrap_or_else(|| panic!("no {key} in {line}"));
+        rest.split([',', '}']).next().unwrap().trim().parse().unwrap()
+    }
+
+    #[test]
+    fn bench_json_has_one_schema_and_labels_oversubscribed_rows() {
+        let out = std::env::temp_dir().join("slcs_bench_json_test.json");
+        let path = out.display().to_string();
+        let over = host_nproc() + 1;
+        let rows = vec![
+            (fields! {threads: 1usize}, fields! {millis: 1.5}),
+            (fields! {threads: over}, fields! {millis: 0.25}),
+            (fields! {variant: "x"}, fields! {ratio: 0.00004}),
+        ];
+        let config = fields! {threads: over, name: "a\"b", ok: true, bad: f64::NAN};
+        write_bench_json(&path, "bench-test", config, rows).unwrap();
+        let json = std::fs::read_to_string(&out).unwrap();
+        let host = format!("\"host\": {{\"nproc\": {}, \"isa\": \"", host_nproc());
+        assert!(json.starts_with("{\n  \"bench\": \"bench-test\",\n  ") && json.contains(&host));
+        assert!(json.contains(r#""config": {"threads": "#) && json.contains(r#""name": "a\"b""#));
+        assert!(json.contains(r#""ok": true, "bad": null}"#), "{json}");
+        // A row over nproc, by its own label or the config's, is labelled.
+        let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"labels\"")).collect();
+        assert_eq!(rows[0], r#"    {"labels": {"threads": 1}, "metrics": {"millis": 1.500}},"#);
+        assert!(rows[1].contains(r#""oversubscribed": true}"#), "{json}");
+        assert!(rows[2].contains(r#""oversubscribed": true}, "metrics": {"ratio": 0.00004000}"#));
+        let ladder = thread_ladder(usize::MAX);
+        assert_eq!((ladder[0], ladder.last().copied()), (1, Some(host_nproc())), "{ladder:?}");
+        let _ = std::fs::remove_file(out);
     }
 
     #[test]
@@ -2254,18 +2231,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_engine_reports_throughput_and_stats() {
-        let out = run(
-            "bench-engine",
-            &["--requests", "24", "--pairs", "3", "--len", "48", "--queue", "4", "--workers", "2"],
-        )
-        .unwrap();
-        assert!(out.contains("24 requests"), "{out}");
-        assert!(out.contains("hits="), "{out}");
-        assert!(out.contains("req/s"), "{out}");
-    }
-
-    #[test]
     fn bench_baseline_quick_writes_json() {
         let out = std::env::temp_dir().join("slcs_bench_pool_test.json");
         let path = out.display().to_string();
@@ -2275,22 +2240,29 @@ mod tests {
         assert!(text.contains("ns/cell"), "{text}");
         assert!(text.contains("work_steal"), "{text}");
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"threads\": 1, \"mode\": \"seq\", \"ns_per_cell\""), "{json}");
+        let seq =
+            "{\"size\": 256, \"threads\": 1, \"mode\": \"seq\"}, \"metrics\": {\"ns_per_cell\"";
+        assert!(json.contains(seq), "{json}");
         for g in [64, 256] {
-            let row = format!("\"threads\": 2, \"mode\": \"work_steal\", \"grain\": {g},");
+            let row = format!("\"threads\": 2, \"mode\": \"work_steal\", \"grain\": {g}}}");
             assert!(json.contains(&row), "missing {row} in:\n{json}");
         }
         // 256² cannot form a team at the production grain: the plan is
         // the sequential sweep, and its row reuses the seq timing.
         assert!(
-            json.contains("\"mode\": \"planned\", \"route\": \"seq\", \"grain\": 8192"),
+            json.contains("\"mode\": \"planned\", \"route\": \"seq\", \"grain\": 8192}"),
             "{json}"
         );
         assert_eq!(json.matches("\"mode\": ").count(), 4, "{json}");
-        for key in ["\"grains\": [64, 256]", "\"plan_grain\": 8192", "\"nproc\": ", "\"isa\": "] {
+        for key in [
+            "\"grains\": \"64,256\"",
+            "\"plan_grain\": 8192",
+            "\"host\": {\"nproc\": ",
+            "\"isa\": ",
+            "\"pool_spawned_workers\": ",
+        ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(json.contains("\"pool_spawned_workers\": "), "{json}");
         let _ = std::fs::remove_file(out);
         assert!(run("bench-baseline", &["--sizes", "bogus"]).is_err());
         assert!(run("bench-baseline", &["--grain", "0"]).is_err());
@@ -2309,8 +2281,6 @@ mod tests {
             let e = run(cmd, &["--qiuck", "--out", &path]).unwrap_err().0;
             assert!(e.contains("--qiuck") && e.contains("--quick"), "{cmd}: {e}");
         }
-        let e = run("bench-engine", &["--qiuck"]).unwrap_err().0;
-        assert!(e.contains("--qiuck") && e.contains("--requests"), "{e}");
         let e = run("bench-baseline", &["--help", "--out", &path]).unwrap_err().0;
         assert!(e.contains("unknown flag --help") && e.contains("--sizes"), "{e}");
         assert!(!out.exists(), "a rejected command wrote {path}");
@@ -2403,19 +2373,16 @@ mod tests {
         assert!(text.contains("recorder off"), "{text}");
         assert!(text.contains("recorder+windows on"), "{text}");
         let json = std::fs::read_to_string(&out).unwrap();
-        for key in [
-            "\"untraced_millis\"",
-            "\"disabled_millis\"",
-            "\"enabled_millis\"",
-            "\"overhead_disabled_percent\"",
-            "\"trace_events_recorded\"",
-            "\"recorder_requests\"",
-            "\"recorder_off_millis\"",
-            "\"recorder_on_millis\"",
-            "\"overhead_recorder_percent\"",
-        ] {
+        for variant in ["untraced", "disabled", "enabled", "recorder_off", "recorder_on"] {
+            row_metric(&json, &[&format!("\"variant\": \"{variant}\"")], "millis");
+        }
+        for variant in ["disabled", "enabled", "recorder_on"] {
+            row_metric(&json, &[&format!("\"{variant}\"")], "overhead_percent");
+        }
+        for key in ["\"trace_events_recorded\"", "\"trace_events_dropped\"", "\"requests\": 64"] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
+        assert_eq!(json.matches("\"labels\"").count(), 5, "{json}");
         let _ = std::fs::remove_file(out);
     }
 
@@ -2432,10 +2399,9 @@ mod tests {
         assert!(text.contains("fewer allocations"), "{text}");
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(json.contains("\"allocator_installed\": true"), "{json}");
-        let field = |variant: &str, key: &str| -> u64 {
-            let v = json.split(&format!("\"name\": \"{variant}\"")).nth(1).unwrap();
-            let v = v.split(&format!("\"{key}\": ")).nth(1).unwrap();
-            v.split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+        assert_eq!(json.matches("\"labels\"").count(), 2, "{json}");
+        let field = |variant: &str, key: &str| {
+            row_metric(&json, &[&format!("\"variant\": \"{variant}\"")], key)
         };
         let (naive_allocs, memopt_allocs) = (field("naive", "allocs"), field("memopt", "allocs"));
         let (naive_peak, memopt_peak) =
@@ -2465,10 +2431,11 @@ mod tests {
         assert!(json.contains("\"allocator_installed\": true"), "{json}");
         for key in [
             "\"algorithm\": \"landau_vishkin_direct\"",
-            "\"similarity\": 0.8,",
-            "\"similarity\": 0.9,",
-            "\"similarity\": 0.99,",
-            "\"similarity\": 0.999,",
+            "\"table\": \"grid\"",
+            "\"similarity\": 0.8000,",
+            "\"similarity\": 0.9000,",
+            "\"similarity\": 0.9900,",
+            "\"similarity\": 0.9990,",
             "\"route\": \"edit_similar\"",
             "\"probe_micros\"",
             "\"dispatch_millis\"",
@@ -2484,19 +2451,11 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
+        // One grid row, four similarity rows, six periodic rows.
+        assert_eq!(json.matches("\"labels\"").count(), 11, "{json}");
         // At 99% similarity even a 1024-size sweep should already be
         // well under the grid paths.
-        let row = json.split("\"similarity\": 0.99,").nth(1).unwrap();
-        let ratio: f64 = row
-            .split("\"ratio_vs_best_grid\": ")
-            .nth(1)
-            .unwrap()
-            .split('}')
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
+        let ratio = row_metric(&json, &["\"similarity\": 0.9900,"], "ratio_vs_best_grid");
         assert!(ratio < 1.0, "osed should beat the best grid path, ratio {ratio}");
         let _ = std::fs::remove_file(out);
         assert!(run("bench-osed", &["--sizes", "bogus"]).is_err());
@@ -2583,15 +2542,16 @@ mod tests {
             "\"parallelism\"",
             "\"busy_ns\"",
             "\"barrier_ns\"",
-            "\"overhead_off_percent\"",
-            "\"overhead_on_percent\"",
-            "\"profiler_off_a_millis\"",
-            "\"profiler_on_millis\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        // Two thread points at one size.
+        for variant in ["profiler_off_b", "profiler_on"] {
+            row_metric(&json, &[&format!("\"variant\": \"{variant}\"")], "overhead_percent");
+        }
+        row_metric(&json, &["\"variant\": \"profiler_off_a\"", "\"size\": 256"], "millis");
+        // Two thread points at one size, then the three overhead rows.
         assert_eq!(json.matches("\"mode\":").count(), 2, "{json}");
+        assert_eq!(json.matches("\"labels\"").count(), 5, "{json}");
         let _ = std::fs::remove_file(out);
         assert!(run("bench-profile", &["--sizes", "bogus"]).is_err());
         assert!(run("bench-profile", &["--sizes", ""]).is_err());

@@ -191,32 +191,118 @@ fn handle_client(
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut framer = LineFramer::default();
     loop {
         // ORDERING: Relaxed — same stop-flag polling as the accept loop.
         if stop.load(Ordering::Relaxed) {
             return Ok(());
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
+        let mut quit = false;
+        let response = match framer.next_line(&mut reader) {
+            Ok(Framed::Eof) => return Ok(()), // client hung up
+            Ok(Framed::TooLong) => too_long(engine),
+            Ok(Framed::Line(bytes)) => match std::str::from_utf8(bytes) {
+                Ok(line) => {
+                    quit = line.trim().eq_ignore_ascii_case("QUIT");
+                    respond(line.trim(), engine, config)
+                }
+                Err(_) => {
+                    engine.metrics().note_error(ErrorKind::Malformed);
+                    "ERR request is not valid UTF-8".into()
+                }
+            },
+            // A read timeout keeps the framed prefix: poll the stop flag
+            // and resume the same line.
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
             {
                 continue
             }
             Err(e) => return Err(e),
-        }
-        let response = respond(line.trim(), engine, config);
+        };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        if line.trim().eq_ignore_ascii_case("QUIT") {
+        if quit {
             return Ok(());
         }
     }
+}
+
+/// One framing outcome of [`LineFramer::next_line`].
+enum Framed<'a> {
+    /// A complete request line, without its `\n`.
+    Line(&'a [u8]),
+    /// A line past [`MAX_LINE_BYTES`], dropped through its `\n`.
+    TooLong,
+    /// The client hung up between lines.
+    Eof,
+}
+
+/// A bounded, resumable line framer over one persistent buffer. Bytes
+/// framed before a read error (a read timeout) stay buffered, so a line
+/// that arrives in slow pieces is reassembled across polls; a line past
+/// [`MAX_LINE_BYTES`] is drained to its newline without being buffered.
+#[derive(Default)]
+struct LineFramer {
+    buf: Vec<u8>,
+    /// The current line passed the cap; its bytes are being dropped.
+    too_long: bool,
+    /// `buf` holds the line returned last; clear it on the next call.
+    returned: bool,
+}
+
+impl LineFramer {
+    fn next_line<R: BufRead>(&mut self, reader: &mut R) -> std::io::Result<Framed<'_>> {
+        if std::mem::take(&mut self.returned) {
+            self.buf.clear();
+        }
+        loop {
+            let chunk = reader.fill_buf()?;
+            let eof = chunk.is_empty();
+            if eof && self.buf.is_empty() && !self.too_long {
+                return Ok(Framed::Eof);
+            }
+            // Up to and including the first newline (std's memchr).
+            let mut scan = chunk;
+            let used = scan.skip_until(b'\n')?;
+            let newline = used > 0 && chunk[used - 1] == b'\n';
+            let body = &chunk[..used - usize::from(newline)];
+            let len = self.buf.len() + body.len();
+            if !self.too_long && len > MAX_LINE_BYTES {
+                self.too_long = true;
+                self.buf = Vec::new();
+            }
+            if !self.too_long {
+                // Grow by doubling, but never past the cap.
+                if len > self.buf.capacity() {
+                    let want = len.max(2 * self.buf.capacity()).min(MAX_LINE_BYTES);
+                    self.buf.reserve_exact(want - self.buf.len());
+                }
+                self.buf.extend_from_slice(body);
+            }
+            reader.consume(used);
+            // A final line without its newline still counts at EOF.
+            if newline || eof {
+                self.returned = true;
+                if std::mem::take(&mut self.too_long) {
+                    return Ok(Framed::TooLong);
+                }
+                return Ok(Framed::Line(&self.buf));
+            }
+        }
+    }
+}
+
+/// The over-length reply, counted as an `oversize` error.
+fn too_long(engine: &Engine) -> String {
+    engine.metrics().note_error(ErrorKind::Oversize);
+    format!("ERR line too long (max {MAX_LINE_BYTES} bytes)")
 }
 
 fn joined_buckets(buckets: &[u64]) -> String {
@@ -406,8 +492,7 @@ fn audit_response(recorder: &FlightRecorder, args: &[String]) -> String {
 /// protocol-level failures into `slcs_engine_errors_total{kind}`.
 pub fn respond(line: &str, engine: &Engine, config: &ServerConfig) -> String {
     if line.len() > MAX_LINE_BYTES {
-        engine.metrics().note_error(ErrorKind::Oversize);
-        return format!("ERR line too long (max {MAX_LINE_BYTES} bytes)");
+        return too_long(engine);
     }
     let response = respond_inner(line, engine, config);
     if response == "BUSY" {
@@ -855,6 +940,109 @@ mod tests {
         assert_eq!(respond("PROFILE on", &engine, &gated), "ERR profiling control disabled");
         assert!(respond("PROFILE", &engine, &gated).starts_with("OK "));
         assert!(respond("PROFILE sideways", &engine, &cfg).starts_with("ERR usage"));
+    }
+
+    /// A reader that hands out scripted chunks; `None` is a read timeout.
+    struct Script(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl std::io::Read for Script {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(out.len());
+                    out[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Frames a scripted stream to EOF (over-long lines read `<too long>`,
+    /// timeouts are retried), checking after every poll that the buffer
+    /// never grows past the cap.
+    fn frames(script: Vec<Option<Vec<u8>>>) -> Vec<String> {
+        let mut reader = BufReader::new(Script(script.into()));
+        let mut framer = LineFramer::default();
+        let mut out = Vec::new();
+        loop {
+            match framer.next_line(&mut reader) {
+                Ok(Framed::Line(line)) => out.push(String::from_utf8_lossy(line).into_owned()),
+                Ok(Framed::TooLong) => out.push("<too long>".into()),
+                Ok(Framed::Eof) => return out,
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+            assert!(framer.buf.capacity() <= MAX_LINE_BYTES, "{}", framer.buf.capacity());
+        }
+    }
+
+    #[test]
+    fn framer_reassembles_lines_across_timeouts_at_every_split() {
+        let input = b"LCS abc abd\r\nPING\n";
+        let want = ["LCS abc abd\r", "PING"];
+        for at in 0..=input.len() {
+            // A timeout after each half; an empty read is EOF, so an
+            // empty half is left out.
+            let halves = [&input[..at], &input[at..]];
+            let script = halves.iter().filter(|h| !h.is_empty());
+            let script = script.flat_map(|h| [Some(h.to_vec()), None]).collect();
+            assert_eq!(frames(script), want, "split at {at}");
+        }
+        // One byte per read, a timeout after each.
+        let slow = input.iter().flat_map(|&b| [Some(vec![b]), None]).collect();
+        assert_eq!(frames(slow), want);
+        // A last line without its newline is still answered at EOF.
+        assert_eq!(frames(vec![Some(b"PING\nQUIT".to_vec())]), ["PING", "QUIT"]);
+    }
+
+    #[test]
+    fn framer_drains_an_oversize_line_and_frames_the_next() {
+        let mut script = vec![Some(b"LCS ".to_vec())];
+        for _ in 0..32 {
+            script.extend([Some(vec![b'a'; 64 << 10]), None]);
+        }
+        script.push(Some(b" b\nPING\n".to_vec()));
+        assert_eq!(frames(script), ["<too long>", "PING"]);
+        // Exactly at the cap is still a line.
+        let mut edge = vec![b'x'; MAX_LINE_BYTES];
+        edge.push(b'\n');
+        assert_eq!(frames(vec![Some(edge)])[0].len(), MAX_LINE_BYTES);
+    }
+
+    #[test]
+    fn tcp_framing_survives_pauses_oversize_lines_and_bad_utf8() {
+        let engine = engine();
+        let handle = spawn("127.0.0.1:0", engine.clone(), ServerConfig::default()).expect("bind");
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        };
+        // The pause spans several 100 ms server read timeouts.
+        writer.write_all(b"LCS abc").unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        writer.write_all(b"d abd\n").unwrap();
+        assert!(reply().starts_with("OK 3 "));
+        writer.write_all(b"LCS \xff\xfe ab\n").unwrap();
+        assert_eq!(reply(), "ERR request is not valid UTF-8");
+        let mut big = b"LCS ".to_vec();
+        big.resize(2 << 20, b'a');
+        big.extend_from_slice(b" b\n");
+        writer.write_all(&big).unwrap();
+        assert_eq!(reply(), format!("ERR line too long (max {MAX_LINE_BYTES} bytes)"));
+        writer.write_all(b"PING\n").unwrap();
+        assert_eq!(reply(), "OK pong");
+        let stats = engine.stats();
+        assert_eq!(stats.errors[crate::metrics::ErrorKind::Oversize.index()], 1);
+        assert_eq!(stats.errors[crate::metrics::ErrorKind::Malformed.index()], 1);
+        handle.stop();
     }
 
     #[test]

@@ -116,50 +116,40 @@ fn diagonal_bfs(a: &[u8], b: &[u8], cap: Option<usize>, par: Option<usize>) -> O
 /// One frontier cell: the furthest row on diagonal `id` reachable with
 /// one more edit than the round-`k−1` frontier `front`, slid down its
 /// matching run. Pure in `front`, so cells of a round are independent.
+///
+/// Each of the three candidate edits lands on a start row of `id`, and
+/// only the furthest start needs a slide: a slide from `s₁ < s₂` that
+/// reaches `s₂` ends where the slide from `s₂` ends, and one that stops
+/// short of `s₂` is beaten by it. Starts at a grid edge are already
+/// fixed points (their slide is empty).
 fn extend_diag(oracle: &LcpOracle, front: &[i32], id: usize, n: usize, m: usize) -> i32 {
-    let mut t: i32 = -1;
+    let mut start: i32 = -1;
     // Substitution: stay on `id`. At a grid edge nothing is left to
     // substitute, but the position itself stays reachable.
     let cur = front[id];
     if cur >= 0 {
-        let i = cur as usize;
-        let j = i + m - id;
-        t = if i == n || j == m { cur } else { (i + 1 + oracle.lcp(i + 1, j + 1)) as i32 };
+        let (i, j) = (cur as usize, cur as usize + m - id);
+        start = if i == n || j == m { cur } else { cur + 1 };
     }
     // From `id − 1`: delete `a[i]` (advance the row) — or, when the
-    // row is already exhausted, delete `b[j − 1]` instead; both single
-    // edits land on `id`.
-    if id > 0 {
-        let up = front[id - 1];
-        if up >= 0 {
-            let i = up as usize;
-            let j = i + m - (id - 1);
-            let cand = if i == n {
-                // (n, j) → (n, j − 1); j ≥ 1 because id − 1 ≤ n + m − 1.
-                n as i32
-            } else {
-                (i + 1 + oracle.lcp(i + 1, j)) as i32
-            };
-            t = t.max(cand);
-        }
+    // row is already exhausted, delete `b[j − 1]` instead, which lands
+    // on (n, j − 1); both single edits land on `id`.
+    if id > 0 && front[id - 1] >= 0 {
+        start = start.max((front[id - 1] + 1).min(n as i32));
     }
     // From `id + 1`: insert `b[j]` (advance the column) — or, when the
-    // column is already exhausted, drop the last row instead.
-    if id + 1 < front.len() {
-        let down = front[id + 1];
-        if down >= 0 {
-            let i = down as usize;
-            let j = i + m - (id + 1);
-            let cand = if j == m {
-                // (i, m) → (i − 1, m); j = m forces i = id + 1 ≥ 1.
-                i as i32 - 1
-            } else {
-                (i + oracle.lcp(i, j + 1)) as i32
-            };
-            t = t.max(cand);
-        }
+    // column is already exhausted, drop the last row instead, which
+    // lands on (i − 1, m); j = m forces i = id + 1 ≥ 1.
+    if id + 1 < front.len() && front[id + 1] >= 0 {
+        let i = front[id + 1];
+        let j = i as usize + m - (id + 1);
+        start = start.max(if j == m { i - 1 } else { i });
     }
-    t
+    if start < 0 {
+        return -1;
+    }
+    let i = start as usize;
+    (i + oracle.lcp(i, i + m - id)) as i32
 }
 
 #[cfg(test)]

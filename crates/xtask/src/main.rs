@@ -20,21 +20,21 @@
 //!   detection (with a replayable choice vector) is asserted, not just
 //!   absence of failures. See docs/SAFETY.md.
 //! * `trace-check FILE` — validates a Chrome-tracing JSON emitted by
-//!   `slcs trace` / the `--trace` bench flags: structural JSON sanity
-//!   plus presence of the five instrumentation layers (an
+//!   `slcs trace` / the `--trace` bench flags: a full JSON parse plus
+//!   the presence of the five instrumentation layers (an
 //!   `engine.request` span, a `pool.job` span, a `wavefront.chunk`
 //!   span, an `osed.bfs_round` span, an `engine.slow_capture` marker),
 //!   plus the parallelism profiler's
 //!   surface (named `worker-N` lanes with `thread_sort_index`
 //!   metadata and `pool.worker_phase` instants). CI runs it against a
 //!   traced quick benchmark with the profiler on.
-//! * `perf-gate` — compares freshly-run benchmark JSON (`BENCH_mem`,
-//!   `BENCH_obs`, `BENCH_pool`, `BENCH_osed`, `BENCH_profile`)
-//!   against the committed
-//!   snapshots in `perf/baselines/`, gating only machine-robust
-//!   quantities (deterministic allocation counts, self-relative
-//!   overhead percentages, scheduling and cross-algorithm ratios)
-//!   with configurable noise tolerance. See docs/PERF.md.
+//! * `perf-gate` — holds freshly-run bench artifacts (`BENCH_mem`,
+//!   `BENCH_obs`, `BENCH_pool`, `BENCH_osed`, `BENCH_profile`, one
+//!   shared schema) to the committed snapshots in `perf/baselines/`:
+//!   one table of declarative bounds on machine-robust quantities
+//!   (deterministic allocation counts, self-relative overhead
+//!   percentages, scheduling and cross-algorithm ratios), evaluated by
+//!   one loop with configurable noise tolerance. See docs/PERF.md.
 //!
 //! The lint is a line-based scan with a small lexer that tracks strings,
 //! char literals, nested block comments and `#[cfg(test)]` regions — not
@@ -65,6 +65,179 @@ fn main() -> ExitCode {
 }
 
 // ---------------------------------------------------------------------
+// A small JSON reader, shared by trace-check and perf-gate
+// ---------------------------------------------------------------------
+
+/// A parsed JSON value; objects keep their key order.
+#[derive(Debug, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses one complete JSON document.
+    fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { s: text.as_bytes(), at: 0 };
+        let value = p.value(0)?;
+        match p.peek() {
+            None => Ok(value),
+            Some(_) => Err(p.fail("text after the document")),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn str_at(&self, key: &str) -> &str {
+        match self.get(key) {
+            Some(Json::Str(s)) => s,
+            _ => "",
+        }
+    }
+
+    fn num_at(&self, key: &str) -> Option<f64> {
+        match self.get(key) {
+            Some(Json::Num(n)) => Some(*n),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Json {
+    /// A scalar as written in a bound or message (`0.99`, `work_steal`).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Json::Null => write!(f, "null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) => write!(f, "{n}"),
+            Json::Str(s) => write!(f, "{s}"),
+            Json::Arr(_) | Json::Obj(_) => write!(f, "{self:?}"),
+        }
+    }
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn fail(&self, what: &str) -> String {
+        format!("invalid JSON: {what} at byte {}", self.at)
+    }
+
+    /// The next non-blank byte, left unread.
+    fn peek(&mut self) -> Option<u8> {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+        self.s.get(self.at).copied()
+    }
+
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        let open = self.peek();
+        if depth > 64 {
+            return Err(self.fail("nesting deeper than 64"));
+        }
+        let close = match open {
+            Some(b'"') => return self.string().map(Json::Str),
+            Some(b'{') => b'}',
+            Some(b'[') => b']',
+            _ => return self.scalar(),
+        };
+        self.at += 1;
+        let (mut fields, mut items, mut first) = (Vec::new(), Vec::new(), true);
+        while !self.eat(close) {
+            if !std::mem::take(&mut first) && !self.eat(b',') {
+                return Err(self.fail("expected `,`"));
+            }
+            if close == b']' {
+                items.push(self.value(depth + 1)?);
+                continue;
+            }
+            self.peek();
+            let key = self.string()?;
+            if !self.eat(b':') {
+                return Err(self.fail("expected `:`"));
+            }
+            fields.push((key, self.value(depth + 1)?));
+        }
+        Ok(if close == b'}' { Json::Obj(fields) } else { Json::Arr(items) })
+    }
+
+    fn scalar(&mut self) -> Result<Json, String> {
+        let rest = &self.s[self.at..];
+        let len =
+            rest.iter().take_while(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c)).count();
+        let token = std::str::from_utf8(&rest[..len]).unwrap_or_default();
+        let value = match token {
+            "true" => Json::Bool(true),
+            "false" => Json::Bool(false),
+            "null" => Json::Null,
+            _ if token.starts_with(|c: char| c == '-' || c.is_ascii_digit()) => {
+                match token.parse::<f64>() {
+                    Ok(n) if n.is_finite() => Json::Num(n),
+                    _ => return Err(self.fail("bad number")),
+                }
+            }
+            _ => return Err(self.fail("expected a value")),
+        };
+        self.at += len;
+        Ok(value)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.s.get(self.at) != Some(&b'"') {
+            return Err(self.fail("expected a string"));
+        }
+        self.at += 1;
+        let mut out = String::new();
+        loop {
+            let rest = &self.s[self.at..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            let run = run.ok_or_else(|| self.fail("unterminated string"))?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.fail("bad UTF-8"))?);
+            self.at += run + 1;
+            match rest[run] {
+                b'"' => return Ok(out),
+                b'\\' => {}
+                _ => return Err(self.fail("control character in a string")),
+            }
+            let escape = rest.get(run + 1).copied().unwrap_or(0);
+            self.at += 1;
+            if let Some(i) = b"\"\\/bfnrt".iter().position(|&e| e == escape) {
+                out.push(['"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t'][i]);
+            } else if escape == b'u' {
+                let hex = rest.get(run + 2..run + 6).and_then(|h| std::str::from_utf8(h).ok());
+                let Some(code) = hex.and_then(|h| u32::from_str_radix(h, 16).ok()) else {
+                    return Err(self.fail("bad \\u escape"));
+                };
+                // A lone surrogate half reads as U+FFFD.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.at += 4;
+            } else {
+                return Err(self.fail("bad escape"));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // trace-check: validate an emitted Chrome-tracing JSON
 // ---------------------------------------------------------------------
 
@@ -81,11 +254,9 @@ const REQUIRED_SPANS: &[&str] =
 /// leader above the workers, and at least one `pool.worker_phase`
 /// transition instant (emitted only while both tracing *and* profiling
 /// are on — the CI artifact is produced with the profiler enabled).
-const REQUIRED_MARKERS: &[(&str, &str)] = &[
-    ("\"name\":\"thread_name\"", "worker-lane thread_name metadata"),
-    ("\"name\":\"thread_sort_index\"", "worker-lane ordering metadata"),
-    ("\"name\":\"worker-", "a named pool-worker lane (worker-N)"),
-    ("\"name\":\"pool.worker_phase\"", "profiler phase instants (was the profiler on?)"),
+const REQUIRED_EVENTS: &[(&str, &str)] = &[
+    ("thread_sort_index", "worker-lane ordering metadata"),
+    ("pool.worker_phase", "profiler phase instants (was the profiler on?)"),
 ];
 
 fn trace_check(args: &[String]) -> ExitCode {
@@ -93,128 +264,399 @@ fn trace_check(args: &[String]) -> ExitCode {
         eprintln!("trace-check: usage: cargo xtask trace-check <trace.json>");
         return ExitCode::FAILURE;
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(err) => {
-            eprintln!("trace-check: cannot read {path}: {err}");
-            return ExitCode::FAILURE;
+    let report = std::fs::read_to_string(path)
+        .map_err(|err| vec![format!("cannot read {path}: {err}")])
+        .and_then(|text| check_trace(&text));
+    match report {
+        Ok(summary) => {
+            println!("trace-check: {path} ok — {summary}");
+            ExitCode::SUCCESS
         }
-    };
-    let mut problems = Vec::new();
-    let t = text.trim();
-    if !t.starts_with("{\"traceEvents\":[") {
-        problems.push("missing `{\"traceEvents\":[` header".to_string());
-    }
-    if !t.ends_with('}') {
-        problems.push("does not end with `}`".to_string());
-    }
-    // Structural sanity without a JSON parser: braces and brackets must
-    // balance outside string literals and never go negative.
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    let mut in_str = false;
-    let mut chars = t.chars();
-    while let Some(c) = chars.next() {
-        if in_str {
-            match c {
-                '\\' => {
-                    let _ = chars.next();
-                }
-                '"' => in_str = false,
-                _ => {}
+        Err(problems) => {
+            for p in &problems {
+                eprintln!("trace-check: {path}: {p}");
             }
-            continue;
+            eprintln!("trace-check: {} problem(s)", problems.len());
+            ExitCode::FAILURE
         }
-        match c {
-            '"' => in_str = true,
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            problems.push("unbalanced braces/brackets (closed before opened)".to_string());
-            break;
-        }
-    }
-    if in_str {
-        problems.push("unterminated string literal".to_string());
-    }
-    if braces != 0 || brackets != 0 {
-        problems.push(format!("unbalanced nesting (braces {braces:+}, brackets {brackets:+})"));
-    }
-    for name in REQUIRED_SPANS {
-        if !t.contains(&format!("\"name\":\"{name}\"")) {
-            problems.push(format!("no `{name}` event — that layer is missing from the trace"));
-        }
-    }
-    for (needle, what) in REQUIRED_MARKERS {
-        if !t.contains(needle) {
-            problems.push(format!("missing {what} (`{needle}` not found)"));
-        }
-    }
-    let count = |needle: &str| t.matches(needle).count();
-    let (begins, ends) = (count("\"ph\":\"B\""), count("\"ph\":\"E\""));
-    if problems.is_empty() {
-        println!(
-            "trace-check: {path} ok — {begins} span begins / {ends} ends, \
-             {} instants, {} counter samples; all {} required layers and \
-             {} lane/profiler markers present",
-            count("\"ph\":\"i\""),
-            count("\"ph\":\"C\""),
-            REQUIRED_SPANS.len(),
-            REQUIRED_MARKERS.len(),
-        );
-        ExitCode::SUCCESS
-    } else {
-        for p in &problems {
-            eprintln!("trace-check: {path}: {p}");
-        }
-        eprintln!("trace-check: {} problem(s)", problems.len());
-        ExitCode::FAILURE
     }
 }
 
+/// Parses a Chrome-tracing document and checks that every required
+/// layer and profiler marker is present; returns a one-line summary.
+fn check_trace(text: &str) -> Result<String, Vec<String>> {
+    let doc = Json::parse(text).map_err(|e| vec![e])?;
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        return Err(vec!["no top-level `traceEvents` array".into()]);
+    };
+    let has = |name: &str| events.iter().any(|e| e.str_at("name") == name);
+    let mut problems = Vec::new();
+    for name in REQUIRED_SPANS {
+        if !has(name) {
+            problems.push(format!("no `{name}` event — that layer is missing from the trace"));
+        }
+    }
+    for (name, what) in REQUIRED_EVENTS {
+        if !has(name) {
+            problems.push(format!("missing {what} (no `{name}` event)"));
+        }
+    }
+    let worker_lane = |e: &Json| {
+        e.str_at("name") == "thread_name"
+            && e.get("args").is_some_and(|a| a.str_at("name").starts_with("worker-"))
+    };
+    if !events.iter().any(worker_lane) {
+        problems.push("missing a named pool-worker lane (worker-N thread_name metadata)".into());
+    }
+    if !problems.is_empty() {
+        return Err(problems);
+    }
+    let count = |ph: &str| events.iter().filter(|e| e.str_at("ph") == ph).count();
+    Ok(format!(
+        "{} span begins / {} ends, {} instants, {} counter samples; all {} required layers and \
+         {} lane/profiler markers present",
+        count("B"),
+        count("E"),
+        count("i"),
+        count("C"),
+        REQUIRED_SPANS.len(),
+        REQUIRED_EVENTS.len() + 1,
+    ))
+}
+
 // ---------------------------------------------------------------------
-// perf-gate: compare fresh benchmark JSON against committed baselines
+// perf-gate: hold fresh bench artifacts to the committed baselines
 // ---------------------------------------------------------------------
 
-/// `cargo xtask perf-gate` — regression gate over the benchmark JSON
-/// artifacts. CI first reruns the quick benches into a scratch directory
-/// (`--fresh`), then this command compares them against the committed
-/// snapshots in `perf/baselines/` (`--baselines`).
-///
-/// Only machine-robust quantities gate:
-///
-/// * `BENCH_mem.json` — allocation counts and scope-local peak live
-///   bytes are deterministic for a fixed seed/order, so they compare
-///   directly (within `--tolerance` percent); the memory-optimized
-///   variant must additionally beat the naive one outright, and the
-///   fresh run must have the instrumented allocator installed.
-/// * `BENCH_obs.json` — the disabled/enabled overhead *percentages*
-///   (already self-relative) may not exceed the baseline by more than
-///   `--overhead-slack` percentage points.
-/// * `BENCH_pool.json` — the scheduling gate (`gate_plan`): at every
-///   multi-threaded sweep point the `planned` route (what the engine
-///   runs for that grid) within 10% of `min(seq, work_steal)` — a
-///   ratio of rows from one run, so it holds on any machine (absolute
-///   wall times never gate).
-/// * `BENCH_profile.json` — the profiler-off A/A delta
-///   (`gate_profile`): with profiling off the hooks are one relaxed
-///   load each, so the off-vs-off re-measurement must sit within
-///   [`PROFILE_MAX_OFF_OVERHEAD`] percent plus `--overhead-slack`
-///   noise points of zero; and the profiler-on overhead may not exceed
-///   the baseline by more than the slack.
-/// * `BENCH_osed.json` — at the largest 99%-similarity row: the
-///   deterministic allocation count of one `edit_distance` call
-///   (within `--tolerance`), and the osed-vs-best-grid time *ratio*
-///   (within `--tolerance` of the baseline, and outright ≤ 0.2 — the
-///   subsystem must stay at least 5× faster than the full grid on
-///   near-identical inputs or it has lost its reason to exist).
-///
-/// A baseline file that does not exist is skipped with a note, so gates
-/// can be adopted one artifact at a time; a *fresh* file missing while
-/// its baseline exists is a failure.
+/// One bound kind. Row arguments are selectors: `key=value` tokens keep
+/// the rows with that label, and `^key` keeps only the rows at the
+/// largest value of that label (several compare in order). A failed
+/// `Drift`/`Require`/`Point` stops its artifact's later bounds: unlike
+/// configs do not compare.
+enum Rule {
+    /// A config value equals the baseline's.
+    Drift(&'static str),
+    /// A config value is this literal.
+    Require(&'static str, &'static str),
+    /// The `^` labels of the selected rows equal the baseline's.
+    Point(&'static str),
+    /// A deterministic count: fresh ≤ baseline × (1 + `--tolerance`%).
+    Count(&'static str, &'static str),
+    /// A self-relative overhead percentage: fresh ≤ max(baseline, 0) +
+    /// `--overhead-slack` points (a negative baseline is noise).
+    Overhead(&'static str, &'static str),
+    /// An absolute cap on the fresh value, plus `--overhead-slack`
+    /// points when `slack`.
+    Cap { rows: &'static str, metric: &'static str, max: f64, slack: bool },
+    /// In the fresh run, row `a`'s value is strictly below row `b`'s.
+    Below { a: &'static str, b: &'static str, metric: &'static str },
+    /// Each of `rows` is within `k`× the minimum over the `others`, each
+    /// matched to it on the labels listed alongside.
+    NearMin {
+        rows: &'static str,
+        others: &'static [(&'static str, &'static [&'static str])],
+        metric: &'static str,
+        k: f64,
+    },
+}
+
+/// The largest 99%-similarity row: the regime osed exists for.
+const OSED_99: &str = "table=similarity similarity=0.99 ^size";
+
+/// Every perf gate, per artifact. Only machine-robust quantities gate:
+/// deterministic allocation counts, self-relative overhead percentages
+/// and ratios of rows from one run — never absolute wall time.
+const BOUNDS: &[(&str, &[Rule])] = &[
+    (
+        "BENCH_mem.json",
+        &[
+            // Counts are meaningless without the instrumented allocator.
+            Rule::Require("allocator_installed", "true"),
+            Rule::Drift("order"),
+            Rule::Drift("multiplies"),
+            Rule::Count("variant=naive", "allocs"),
+            Rule::Count("variant=naive", "peak_live_bytes"),
+            Rule::Count("variant=memopt", "allocs"),
+            Rule::Count("variant=memopt", "peak_live_bytes"),
+            // The point of the memory optimization.
+            Rule::Below { a: "variant=memopt", b: "variant=naive", metric: "allocs" },
+            Rule::Below { a: "variant=memopt", b: "variant=naive", metric: "peak_live_bytes" },
+        ],
+    ),
+    (
+        "BENCH_obs.json",
+        &[
+            Rule::Overhead("variant=disabled", "overhead_percent"),
+            Rule::Overhead("variant=enabled", "overhead_percent"),
+            Rule::Overhead("variant=recorder_on", "overhead_percent"),
+        ],
+    ),
+    (
+        "BENCH_pool.json",
+        &[
+            Rule::Point("mode=planned ^size ^threads"),
+            // The plan has one job — pick the faster schedule — and a
+            // wrong pick costs more than 10%: work_steal at its fastest
+            // swept grain for the point, seq at t=1 for the size.
+            Rule::NearMin {
+                rows: "mode=planned",
+                others: &[("mode=seq", &["size"]), ("mode=work_steal", &["size", "threads"])],
+                metric: "ns_per_cell",
+                k: 1.10,
+            },
+        ],
+    ),
+    (
+        "BENCH_profile.json",
+        &[
+            Rule::Drift("par_grain"),
+            Rule::Point("variant=profiler_on ^size ^threads"),
+            // Profiling off, the hooks are one relaxed load each: the
+            // off-vs-off A/A may sit at most 2% (plus noise) above zero.
+            Rule::Cap {
+                rows: "variant=profiler_off_b",
+                metric: "overhead_percent",
+                max: 2.0,
+                slack: true,
+            },
+            Rule::Overhead("variant=profiler_on", "overhead_percent"),
+            Rule::Point("mode=work_steal ^size ^threads"),
+        ],
+    ),
+    (
+        "BENCH_osed.json",
+        &[
+            Rule::Require("allocator_installed", "true"),
+            Rule::Drift("sigma"),
+            Rule::Drift("runs"),
+            Rule::Point(OSED_99),
+            Rule::Count(OSED_99, "allocs"),
+            Rule::Count(OSED_99, "ratio_vs_best_grid"),
+            // At least 5× faster than the best grid path, baseline or not.
+            Rule::Cap { rows: OSED_99, metric: "ratio_vs_best_grid", max: 0.2, slack: false },
+        ],
+    ),
+];
+
+/// A bench artifact as `slcs bench-*` writes it: `{"bench", "host":
+/// {"nproc", "isa"}, "config": {…}, "rows": [{"labels", "metrics"}]}`,
+/// flat scalars throughout. `side` (fresh or baseline) names it in
+/// messages.
+struct Artifact {
+    doc: Json,
+    side: &'static str,
+}
+
+impl Artifact {
+    fn parse(text: &str, side: &'static str) -> Result<Artifact, String> {
+        let doc = Json::parse(text)?;
+        let host = doc.get("host");
+        match (host.and_then(|h| h.get("nproc")), host.and_then(|h| h.get("isa"))) {
+            (Some(Json::Num(_)), Some(Json::Str(_))) => {}
+            _ => return Err("no host.nproc and host.isa".into()),
+        }
+        let (Some(Json::Obj(_)), Some(Json::Arr(rows))) = (doc.get("config"), doc.get("rows"))
+        else {
+            return Err("no config object and rows array".into());
+        };
+        for row in rows {
+            let (Some(Json::Obj(_)), Some(Json::Obj(metrics))) =
+                (row.get("labels"), row.get("metrics"))
+            else {
+                return Err("a row without labels and metrics objects".into());
+            };
+            if metrics.iter().any(|(_, v)| !matches!(v, Json::Num(_) | Json::Null)) {
+                return Err("a non-numeric metric".into());
+            }
+        }
+        Ok(Artifact { doc, side })
+    }
+
+    fn config(&self, key: &str) -> Option<&Json> {
+        self.doc.get("config")?.get(key)
+    }
+
+    /// The rows `spec` selects. Selecting none, or an oversubscribed
+    /// row (`threads` above `host.nproc`, by its label or the config's),
+    /// is an error: no bound may pass vacuously or rest on an
+    /// oversubscribed measurement.
+    fn select(&self, spec: &str) -> Result<Vec<&Json>, String> {
+        let rows = match self.doc.get("rows") {
+            Some(Json::Arr(rows)) => &rows[..],
+            _ => &[],
+        };
+        let wanted = |row: &&Json| {
+            spec.split_whitespace().filter_map(|t| t.split_once('=')).all(|(k, v)| {
+                row.get("labels").and_then(|l| l.get(k)).is_some_and(|l| l.to_string() == v)
+            })
+        };
+        let mut picked: Vec<&Json> = rows.iter().filter(wanted).collect();
+        let top = |row: &Json| -> Vec<f64> {
+            let labels = row.get("labels");
+            top_keys(spec).map(|k| labels.and_then(|l| l.num_at(k)).unwrap_or(f64::MIN)).collect()
+        };
+        let best = picked.iter().map(|r| top(r)).reduce(|a, b| if b > a { b } else { a });
+        picked.retain(|r| Some(top(r)) == best);
+        if picked.is_empty() {
+            return Err(format!("{}: no row matches {spec}", self.side));
+        }
+        let nproc = self.doc.get("host").and_then(|h| h.num_at("nproc")).unwrap_or(0.0);
+        let config_threads = self.doc.get("config").and_then(|c| c.num_at("threads"));
+        for row in &picked {
+            let labelled = row.get("labels").and_then(|l| l.get("oversubscribed"));
+            let threads = row.get("labels").and_then(|l| l.num_at("threads")).or(config_threads);
+            if labelled == Some(&Json::Bool(true)) || threads.is_some_and(|t| t > nproc) {
+                let at = point(row, &[]);
+                return Err(format!(
+                    "{}: {spec} reads an oversubscribed row ({at}; host nproc {nproc})",
+                    self.side
+                ));
+            }
+        }
+        Ok(picked)
+    }
+
+    /// `metric` of the one row `spec` selects.
+    fn value(&self, spec: &str, metric: &str) -> Result<f64, String> {
+        match self.select(spec)?[..] {
+            [row] => row
+                .get("metrics")
+                .and_then(|m| m.num_at(metric))
+                .ok_or_else(|| format!("{}: {spec} has no {metric}", self.side)),
+            ref many => Err(format!("{}: {} rows match {spec}, not one", self.side, many.len())),
+        }
+    }
+}
+
+/// The `^key` label names of a row selector.
+fn top_keys(spec: &str) -> impl Iterator<Item = &str> {
+    spec.split_whitespace().filter_map(|t| t.strip_prefix('^'))
+}
+
+/// `k=v …` for the labels of `row` named in `keys` (all when empty).
+fn point(row: &Json, keys: &[&str]) -> String {
+    let Some(Json::Obj(labels)) = row.get("labels") else { return String::new() };
+    let shown = labels.iter().filter(|(k, _)| keys.is_empty() || keys.contains(&k.as_str()));
+    shown.map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(" ")
+}
+
+/// Evaluates one bound (`tol` is `--tolerance` percent, `slack` is
+/// `--overhead-slack` points).
+fn check(
+    rule: &Rule,
+    fresh: &Artifact,
+    base: &Artifact,
+    tol: f64,
+    slack: f64,
+) -> Result<(), String> {
+    let show = |v: Option<&Json>| v.map_or("absent".to_string(), Json::to_string);
+    let fail = |ok: bool, why: String| if ok { Ok(()) } else { Err(why) };
+    match *rule {
+        Rule::Drift(key) => {
+            let (f, b) = (show(fresh.config(key)), show(base.config(key)));
+            fail(f == b, format!("config drift: {key} fresh {f} vs baseline {b}"))
+        }
+        Rule::Require(key, want) => {
+            let v = show(fresh.config(key));
+            fail(v == want, format!("fresh run reports {key} = {v}, needs {want}"))
+        }
+        Rule::Point(spec) => {
+            let keys: Vec<&str> = top_keys(spec).collect();
+            let (f, b) =
+                (point(fresh.select(spec)?[0], &keys), point(base.select(spec)?[0], &keys));
+            fail(f == b, format!("config drift: {spec} is {f} fresh vs {b} baseline"))
+        }
+        Rule::Count(spec, metric) => {
+            let (f, b) = (fresh.value(spec, metric)?, base.value(spec, metric)?);
+            let over = 100.0 * (f - b) / b.max(f64::MIN_POSITIVE);
+            let why =
+                format!("{spec} {metric} regressed: {f} vs baseline {b} (+{over:.1}% > {tol}%)");
+            fail(f <= b * (1.0 + tol / 100.0), why)
+        }
+        Rule::Overhead(spec, metric) => {
+            let (f, b) = (fresh.value(spec, metric)?, base.value(spec, metric)?.max(0.0));
+            let why = format!(
+                "{spec} {metric} regressed: {f:.2}% vs baseline {b:.2}% \
+                 (+{:.2} points > {slack} point slack)",
+                f - b
+            );
+            fail(f <= b + slack, why)
+        }
+        Rule::Cap { rows, metric, max, slack: with_slack } => {
+            let (f, cap) = (fresh.value(rows, metric)?, if with_slack { max + slack } else { max });
+            fail(f <= cap, format!("{rows} {metric} {f} is over its cap {cap}"))
+        }
+        Rule::Below { a, b, metric } => {
+            let (va, vb) = (fresh.value(a, metric)?, fresh.value(b, metric)?);
+            fail(va < vb, format!("{a} {metric} {va} is no longer below {b} {metric} {vb}"))
+        }
+        Rule::NearMin { rows, others, metric, k } => {
+            let mut lost = Vec::new();
+            for row in fresh.select(rows)? {
+                let v = row.get("metrics").and_then(|m| m.num_at(metric));
+                let v = v.ok_or_else(|| format!("fresh: {} has no {metric}", point(row, &[])))?;
+                let mut best = f64::INFINITY;
+                for &(other, same) in others {
+                    let at = point(row, same);
+                    let rivals = fresh.select(other)?.into_iter().filter(|o| point(o, same) == at);
+                    let min =
+                        rivals.filter_map(|o| o.get("metrics")?.num_at(metric)).reduce(f64::min);
+                    best = best.min(min.ok_or_else(|| format!("fresh: no {other} row at {at}"))?);
+                }
+                if v > best * k {
+                    lost.push(format!("{v:.4} at {} (best {best:.4})", point(row, &[])));
+                }
+            }
+            let why = format!("{rows} {metric} lost by more than {k}x: {}", lost.join("; "));
+            fail(lost.is_empty(), why)
+        }
+    }
+}
+
+/// Holds one artifact to its bounds, in order.
+fn gate(rules: &[Rule], fresh: &Artifact, base: &Artifact, tol: f64, slack: f64) -> Vec<String> {
+    let mut problems = Vec::new();
+    for rule in rules {
+        if let Err(problem) = check(rule, fresh, base, tol, slack) {
+            problems.push(problem);
+            if matches!(rule, Rule::Drift(_) | Rule::Require(..) | Rule::Point(_)) {
+                break;
+            }
+        }
+    }
+    problems
+}
+
+/// Every artifact of [`BOUNDS`], fresh from `fresh_dir` against its
+/// baseline in `base_dir`. A missing or malformed file on either side
+/// is a problem, never a skip.
+fn gate_dirs(fresh_dir: &Path, base_dir: &Path, tol: f64, slack: f64) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (file, rules) in BOUNDS {
+        let read = |dir: &Path, side| {
+            let path = dir.join(file);
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| format!("{file}: {side} {} unreadable: {e}", path.display()))?;
+            Artifact::parse(&text, side)
+                .map_err(|e| format!("{file}: {side} {}: {e}", path.display()))
+        };
+        let (fresh, base) = match (read(fresh_dir, "fresh"), read(base_dir, "baseline")) {
+            (Ok(fresh), Ok(base)) => (fresh, base),
+            (fresh, base) => {
+                problems.extend([fresh.err(), base.err()].into_iter().flatten());
+                continue;
+            }
+        };
+        problems
+            .extend(gate(rules, &fresh, &base, tol, slack).iter().map(|p| format!("{file}: {p}")));
+    }
+    problems
+}
+
+/// `cargo xtask perf-gate` — holds freshly run quick-bench artifacts
+/// (`--fresh`, default `.`) to the committed snapshots in
+/// `perf/baselines/` (`--baselines`) under [`BOUNDS`]. See docs/PERF.md
+/// "Perf gating".
 fn perf_gate(args: &[String]) -> ExitCode {
     let mut fresh_dir = String::from(".");
     let mut base_dir = String::from("perf/baselines");
@@ -242,51 +684,12 @@ fn perf_gate(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-
-    let mut problems = Vec::new();
-    let mut notes = Vec::new();
-    let mut gated = 0usize;
-    for (file, check) in [
-        ("BENCH_mem.json", gate_mem as fn(&str, &str, f64, f64) -> Vec<String>),
-        ("BENCH_obs.json", gate_obs),
-        ("BENCH_pool.json", gate_plan),
-        ("BENCH_profile.json", gate_profile),
-        ("BENCH_osed.json", gate_osed),
-    ] {
-        let base_path = Path::new(&base_dir).join(file);
-        let Ok(base) = std::fs::read_to_string(&base_path) else {
-            notes.push(format!("no baseline {} — skipped", base_path.display()));
-            continue;
-        };
-        let fresh_path = Path::new(&fresh_dir).join(file);
-        let fresh = match std::fs::read_to_string(&fresh_path) {
-            Ok(f) => f,
-            Err(err) => {
-                problems.push(format!(
-                    "{file}: baseline exists but fresh run is missing \
-                     ({}: {err})",
-                    fresh_path.display()
-                ));
-                continue;
-            }
-        };
-        gated += 1;
-        problems.extend(
-            check(&fresh, &base, tolerance, slack).into_iter().map(|p| format!("{file}: {p}")),
-        );
-    }
-
-    for n in &notes {
-        println!("perf-gate: {n}");
-    }
+    let problems = gate_dirs(Path::new(&fresh_dir), Path::new(&base_dir), tolerance, slack);
     if problems.is_empty() {
-        if gated == 0 {
-            eprintln!("perf-gate: nothing gated (no baselines found in {base_dir})");
-            return ExitCode::FAILURE;
-        }
         println!(
-            "perf-gate: {gated} artifact(s) within tolerance \
-             ({tolerance}% counts/ratios, {slack} overhead points)"
+            "perf-gate: {} artifact(s) within tolerance \
+             ({tolerance}% counts/ratios, {slack} overhead points)",
+            BOUNDS.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -296,358 +699,6 @@ fn perf_gate(args: &[String]) -> ExitCode {
         eprintln!("perf-gate: {} regression(s)", problems.len());
         ExitCode::FAILURE
     }
-}
-
-/// The raw text after `"key":`, or `None` if the key is absent.
-/// Searches the whole of `text` — callers narrow the scope first (e.g.
-/// to one variant object) when keys repeat.
-fn field_after<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    text[at..].trim_start().strip_prefix(':').map(str::trim_start)
-}
-
-fn num_field(text: &str, key: &str) -> Option<f64> {
-    let rest = field_after(text, key)?;
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn bool_field(text: &str, key: &str) -> Option<bool> {
-    let rest = field_after(text, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// The `{…}` object inside `variants`/`rows` whose `"name"`/`"mode"`
-/// field equals `name` (objects in our bench JSON never nest).
-fn object_with<'a>(text: &'a str, key: &str, name: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\": \"{name}\"");
-    let at = text.find(&marker)?;
-    let start = text[..at].rfind('{')?;
-    let end = at + text[at..].find('}')?;
-    Some(&text[start..=end])
-}
-
-/// Relative-regression check: `fresh` may exceed `base` by at most
-/// `tol_pct` percent. Improvements never fail.
-fn within(label: &str, fresh: f64, base: f64, tol_pct: f64, problems: &mut Vec<String>) {
-    if fresh > base * (1.0 + tol_pct / 100.0) {
-        problems.push(format!(
-            "{label} regressed: {fresh} vs baseline {base} (+{:.1}% > {tol_pct}% tolerance)",
-            100.0 * (fresh - base) / base.max(f64::MIN_POSITIVE)
-        ));
-    }
-}
-
-fn gate_mem(fresh: &str, base: &str, tol_pct: f64, _slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if bool_field(fresh, "allocator_installed") != Some(true) {
-        problems
-            .push("fresh run reports allocator_installed != true — counts are meaningless".into());
-        return problems;
-    }
-    for key in ["order", "multiplies"] {
-        let (f, b) = (num_field(fresh, key), num_field(base, key));
-        if f != b {
-            problems.push(format!("config drift: {key} fresh {f:?} vs baseline {b:?}"));
-            return problems;
-        }
-    }
-    let get = |text: &str, variant: &str, key: &str| -> Option<f64> {
-        num_field(object_with(text, "name", variant)?, key)
-    };
-    let need = |text: &str, which: &str, variant: &str, key: &str, problems: &mut Vec<String>| {
-        let v = get(text, variant, key);
-        if v.is_none() {
-            problems.push(format!("{which} run is missing {variant}.{key}"));
-        }
-        v
-    };
-    for variant in ["naive", "memopt"] {
-        for key in ["allocs", "peak_live_bytes"] {
-            let (Some(f), Some(b)) = (
-                need(fresh, "fresh", variant, key, &mut problems),
-                need(base, "baseline", variant, key, &mut problems),
-            ) else {
-                continue;
-            };
-            within(&format!("{variant}.{key}"), f, b, tol_pct, &mut problems);
-        }
-    }
-    // The point of the optimization, gated outright on the fresh run.
-    if let (Some(na), Some(ma), Some(np), Some(mp)) = (
-        get(fresh, "naive", "allocs"),
-        get(fresh, "memopt", "allocs"),
-        get(fresh, "naive", "peak_live_bytes"),
-        get(fresh, "memopt", "peak_live_bytes"),
-    ) {
-        if ma >= na {
-            problems.push(format!("memopt no longer allocates less than naive ({ma} vs {na})"));
-        }
-        if mp >= np {
-            problems.push(format!("memopt peak live bytes no longer below naive ({mp} vs {np})"));
-        }
-    }
-    problems
-}
-
-fn gate_obs(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    for key in
-        ["overhead_disabled_percent", "overhead_enabled_percent", "overhead_recorder_percent"]
-    {
-        let (Some(f), Some(b)) = (num_field(fresh, key), num_field(base, key)) else {
-            problems.push(format!("missing {key} in fresh or baseline"));
-            continue;
-        };
-        // Overheads are already percentages (self-relative), so the
-        // budget is absolute points on top of the baseline. A negative
-        // baseline (instrumented run measured *faster* than untraced)
-        // is pure timing noise — the true overhead is ≥ 0 — so it
-        // clamps to zero rather than tightening the budget.
-        let b = b.max(0.0);
-        if f > b + slack {
-            problems.push(format!(
-                "{key} regressed: {f:.2}% vs baseline {b:.2}% \
-                 (+{:.2} points > {slack} point slack)",
-                f - b
-            ));
-        }
-    }
-    problems
-}
-
-/// `(size, threads, mode, metric)` for every row of a bench JSON whose
-/// rows carry `size`, `threads`, `mode` and the numeric `metric`.
-fn mode_rows<'a>(text: &'a str, metric: &str) -> Vec<(u64, u64, &'a str, f64)> {
-    let mut out = Vec::new();
-    for (at, _) in text.match_indices("\"mode\": \"") {
-        let mode_start = at + "\"mode\": \"".len();
-        let Some(mode_len) = text[mode_start..].find('"') else { continue };
-        let (Some(start), Some(end)) = (text[..at].rfind('{'), text[at..].find('}')) else {
-            continue;
-        };
-        let row = &text[start..at + end];
-        if let (Some(size), Some(threads), Some(v)) =
-            (num_field(row, "size"), num_field(row, "threads"), num_field(row, metric))
-        {
-            out.push((size as u64, threads as u64, &text[mode_start..mode_start + mode_len], v));
-        }
-    }
-    out
-}
-
-/// The `planned` route may lose at most this factor to the faster of
-/// `seq` and `work_steal` at every multi-threaded sweep point: the plan
-/// has one job, and a wrong pick costs more than this.
-const PLAN_MAX_OVER_BEST: f64 = 1.10;
-
-/// Scheduling gate on the fresh `BENCH_pool.json`: at every
-/// `(size, threads)` point with a `planned` row (threads ≥ 2), the
-/// planned route must run within [`PLAN_MAX_OVER_BEST`] of
-/// `min(seq, work_steal)`, the work_steal side being its fastest swept
-/// grain — a ratio of same-run rows, so it needs no
-/// cross-machine anchor. The baseline only guards config drift (the
-/// largest planned point must match).
-fn gate_plan(fresh: &str, base: &str, _tol_pct: f64, _slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    let fresh_rows = mode_rows(fresh, "ns_per_cell");
-    let planned_points = |rows: &[(u64, u64, &str, f64)]| {
-        let mut points: Vec<(u64, u64)> =
-            rows.iter().filter(|r| r.2 == "planned").map(|r| (r.0, r.1)).collect();
-        points.sort_unstable();
-        points.dedup();
-        points
-    };
-    let points = planned_points(&fresh_rows);
-    let Some(&largest) = points.last() else {
-        problems.push("no planned rows in fresh run".into());
-        return problems;
-    };
-    let base_largest = planned_points(&mode_rows(base, "ns_per_cell")).last().copied();
-    if base_largest != Some(largest) {
-        problems.push(format!(
-            "config drift: largest planned point is {}x{} t={} fresh vs {base_largest:?} \
-             baseline",
-            largest.0, largest.0, largest.1
-        ));
-        return problems;
-    }
-    for &(size, threads) in &points {
-        // The fastest row of a mode at this point (work_steal has one
-        // row per swept grain).
-        let ns = |t: u64, mode: &str| {
-            fresh_rows
-                .iter()
-                .filter(|r| (r.0, r.1, r.2) == (size, t, mode))
-                .map(|r| r.3)
-                .min_by(f64::total_cmp)
-        };
-        let (Some(seq), Some(ws), Some(planned)) =
-            (ns(1, "seq"), ns(threads, "work_steal"), ns(threads, "planned"))
-        else {
-            problems.push(format!("missing seq or work_steal row at {size}x{size} t={threads}"));
-            continue;
-        };
-        let best = seq.min(ws);
-        if planned > best * PLAN_MAX_OVER_BEST {
-            problems.push(format!(
-                "planned route lost at {size}x{size} t={threads}: {planned:.4} vs \
-                 min(seq, work_steal) {best:.4} ns/cell (> {PLAN_MAX_OVER_BEST}x — the plan \
-                 picked the slower schedule)"
-            ));
-        }
-    }
-    problems
-}
-
-/// With profiling off the worker hooks are one relaxed load each, so
-/// the A/A re-measurement (`overhead_off_percent`, off vs off) may sit
-/// at most this many percent above zero before noise slack is added —
-/// anything past that means the off path grew real work.
-const PROFILE_MAX_OFF_OVERHEAD: f64 = 2.0;
-
-/// Gate over the fresh `BENCH_profile.json` (see the [`perf_gate`]
-/// docs): profiler-off A/A delta pinned near zero and profiler-on
-/// overhead held to the baseline, at an unchanged sweep config.
-fn gate_profile(fresh: &str, base: &str, _tol_pct: f64, slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    for key in ["overhead_size", "overhead_threads", "par_grain"] {
-        let (f, b) = (num_field(fresh, key), num_field(base, key));
-        if f != b {
-            problems.push(format!("config drift: {key} fresh {f:?} vs baseline {b:?}"));
-            return problems;
-        }
-    }
-    // The absolute pin: A/A may drift with timing noise (the slack) but
-    // the disabled profiler itself must stay under the budget. Negative
-    // deltas (second run faster) are pure noise and never gate.
-    match num_field(fresh, "overhead_off_percent") {
-        Some(off) => {
-            if off > PROFILE_MAX_OFF_OVERHEAD + slack {
-                problems.push(format!(
-                    "profiler-off A/A overhead {off:.2}% exceeds the \
-                     {PROFILE_MAX_OFF_OVERHEAD}% budget (+{slack} noise points) — \
-                     the disabled hooks are no longer free"
-                ));
-            }
-        }
-        None => problems.push("missing overhead_off_percent in fresh run".into()),
-    }
-    // Profiler-on accounting cost: baseline-relative, same contract as
-    // the tracing overheads in gate_obs (negative baselines clamp to 0).
-    match (num_field(fresh, "overhead_on_percent"), num_field(base, "overhead_on_percent")) {
-        (Some(f), Some(b)) => {
-            let b = b.max(0.0);
-            if f > b + slack {
-                problems.push(format!(
-                    "overhead_on_percent regressed: {f:.2}% vs baseline {b:.2}% \
-                     (+{:.2} points > {slack} point slack)",
-                    f - b
-                ));
-            }
-        }
-        _ => problems.push("missing overhead_on_percent in fresh or baseline".into()),
-    }
-    let largest = |text: &str| mode_rows(text, "utilization").iter().map(|r| (r.0, r.1)).max();
-    let (Some(point), base_point) = (largest(fresh), largest(base)) else {
-        problems.push("no sweep rows in fresh run".into());
-        return problems;
-    };
-    if base_point.is_some_and(|bp| bp != point) {
-        problems.push(format!(
-            "config drift: largest sweep point is {}x{} t={} fresh vs {:?} baseline",
-            point.0, point.0, point.1, base_point
-        ));
-    }
-    problems
-}
-
-/// The subsystem must not quietly regress below its reason to exist:
-/// past this osed-vs-best-grid time ratio at 99% similarity (i.e. less
-/// than 5× faster than the full grid) the gate fails outright, baseline
-/// or no baseline.
-const OSED_MAX_RATIO: f64 = 0.2;
-
-fn gate_osed(fresh: &str, base: &str, tol_pct: f64, _slack: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if bool_field(fresh, "allocator_installed") != Some(true) {
-        problems
-            .push("fresh run reports allocator_installed != true — counts are meaningless".into());
-        return problems;
-    }
-    for key in ["sigma", "runs"] {
-        let (f, b) = (num_field(fresh, key), num_field(base, key));
-        if f != b {
-            problems.push(format!("config drift: {key} fresh {f:?} vs baseline {b:?}"));
-            return problems;
-        }
-    }
-    // Gate the 99%-similarity row at the largest size — the sweet spot
-    // the subsystem exists for. (The marker's trailing comma keeps the
-    // 0.999 rows from matching.)
-    fn row_99(text: &str) -> Option<(f64, &str)> {
-        let mut best: Option<(f64, &str)> = None;
-        for (at, _) in text.match_indices("\"similarity\": 0.99,") {
-            let start = text[..at].rfind('{')?;
-            let end = at + text[at..].find('}')?;
-            let row = &text[start..=end];
-            let size = num_field(row, "size")?;
-            if best.is_none_or(|(s, _)| size > s) {
-                best = Some((size, row));
-            }
-        }
-        best
-    }
-    match (row_99(fresh), row_99(base)) {
-        (Some((fs, frow)), Some((bs, brow))) => {
-            if fs != bs {
-                problems.push(format!(
-                    "config drift: largest 99%-similarity row is size {fs} fresh \
-                     vs size {bs} baseline"
-                ));
-                return problems;
-            }
-            // One edit_distance call on a fixed seed allocates a fixed
-            // number of times, so counts compare directly.
-            match (num_field(frow, "allocs"), num_field(brow, "allocs")) {
-                (Some(f), Some(b)) => {
-                    within(&format!("allocs at size {fs} sim 0.99"), f, b, tol_pct, &mut problems);
-                }
-                _ => problems.push("missing allocs in fresh or baseline 99% row".into()),
-            }
-            match (num_field(frow, "ratio_vs_best_grid"), num_field(brow, "ratio_vs_best_grid")) {
-                (Some(f), Some(b)) => {
-                    within(
-                        &format!("osed/grid time ratio at size {fs} sim 0.99"),
-                        f,
-                        b,
-                        tol_pct,
-                        &mut problems,
-                    );
-                    if f > OSED_MAX_RATIO {
-                        problems.push(format!(
-                            "osed is no longer ≥ {:.0}× faster than the best grid path at 99% \
-                             similarity (ratio {f} > {OSED_MAX_RATIO})",
-                            1.0 / OSED_MAX_RATIO
-                        ));
-                    }
-                }
-                _ => {
-                    problems.push("missing ratio_vs_best_grid in fresh or baseline 99% row".into())
-                }
-            }
-        }
-        _ => problems.push("cannot find a 99%-similarity row in fresh or baseline".into()),
-    }
-    problems
 }
 
 // ---------------------------------------------------------------------
@@ -1547,6 +1598,79 @@ mod tests {
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
+    /// An artifact in the bench schema on a 2-core host: config fields,
+    /// then one `labels | metrics` line (object bodies) per row.
+    fn artifact(config: &str, rows: &str) -> String {
+        let rows: Vec<String> = rows
+            .lines()
+            .filter_map(|row| row.split_once('|'))
+            .map(|(l, m)| format!(r#"    {{"labels": {{{l}}}, "metrics": {{{m}}}}}"#))
+            .collect();
+        let host = r#""host": {"nproc": 2, "isa": "scalar"}"#;
+        format!(
+            "{{\"bench\": \"t\", {host}, \"config\": {{{config}}}, \"rows\": [\n{}\n]}}",
+            rows.join(",\n")
+        )
+    }
+
+    /// `file`'s bounds at tolerance 25% and slack 10 points.
+    fn gate_file(file: &str, fresh: &str, base: &str) -> Vec<String> {
+        let rules = BOUNDS.iter().find(|(f, _)| *f == file).unwrap().1;
+        let (fresh, base) =
+            (Artifact::parse(fresh, "fresh").unwrap(), Artifact::parse(base, "baseline").unwrap());
+        gate(rules, &fresh, &base, 25.0, 10.0)
+    }
+
+    fn has(problems: &[String], needle: &str) -> bool {
+        problems.iter().any(|p| p.contains(needle))
+    }
+
+    #[test]
+    fn json_reader_parses_documents_and_rejects_malformed_text() {
+        let doc = Json::parse(r#" {"a": [1, -2.5e3, true, null], "s": "q\"\\é\n", "o": {}} "#);
+        let doc = doc.unwrap();
+        let a = vec![Json::Num(1.0), Json::Num(-2500.0), Json::Bool(true), Json::Null];
+        assert_eq!(doc.get("a"), Some(&Json::Arr(a)));
+        assert_eq!(doc.str_at("s"), "q\"\\\u{e9}\n");
+        assert_eq!(doc.get("o"), Some(&Json::Obj(Vec::new())));
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "[1 2]",
+            r#"{"a" 1}"#,
+            "{1: 2}",
+            "{} x",
+            "\"open",
+            "[tru]",
+            "\"\u{1}\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
+        // The artifact schema on top: host, config and numeric metrics.
+        let good = artifact(r#""order": 512"#, r#""variant": "naive" | "allocs": 3"#);
+        assert!(Artifact::parse(&good, "fresh").is_ok());
+        for broken in [good.replace("\"host\"", "\"hots\""), good.replace(": 3", ": \"3\"")] {
+            assert!(Artifact::parse(&broken, "fresh").is_err(), "{broken}");
+        }
+    }
+
+    #[test]
+    fn trace_check_parses_the_timeline_and_requires_every_layer() {
+        let names = REQUIRED_SPANS.iter().chain(&["thread_sort_index", "pool.worker_phase"]);
+        let mut events: Vec<String> =
+            names.map(|n| format!(r#"{{"name":"{n}","ph":"B"}}"#)).collect();
+        events.push(r#"{"name":"thread_name","ph":"M","args":{"name":"worker-0"}}"#.into());
+        let trace = format!("{{\"traceEvents\":[{}]}}", events.join(","));
+        assert!(check_trace(&trace).is_ok(), "{:?}", check_trace(&trace));
+        let problems = check_trace(&trace.replace("osed.bfs_round", "osed.other")).unwrap_err();
+        assert!(has(&problems, "no `osed.bfs_round` event"), "{problems:?}");
+        let problems = check_trace(&trace.replace("worker-0", "main")).unwrap_err();
+        assert!(has(&problems, "worker-N"), "{problems:?}");
+        // Balanced but not JSON: the old brace count let this through.
+        assert!(check_trace(&trace.replace("},{", "},,{")).is_err());
+    }
+
     fn mem_json(
         memopt_allocs: u64,
         memopt_peak: u64,
@@ -1554,212 +1678,167 @@ mod tests {
         naive_peak: u64,
         installed: bool,
     ) -> String {
-        format!(
-            "{{\n  \"bench\": \"bench-mem\",\n  \"order\": 512,\n  \"multiplies\": 4,\n  \
-             \"allocator_installed\": {installed},\n  \"variants\": [\n    \
-             {{\"name\": \"naive\", \"allocs\": {naive_allocs}, \"alloc_bytes\": 9000, \
-             \"peak_live_bytes\": {naive_peak}, \"millis\": 1.0}},\n    \
-             {{\"name\": \"memopt\", \"allocs\": {memopt_allocs}, \"alloc_bytes\": 100, \
-             \"peak_live_bytes\": {memopt_peak}, \"millis\": 0.5}}\n  ]\n}}\n"
+        artifact(
+            &format!(r#""order": 512, "multiplies": 4, "allocator_installed": {installed}"#),
+            &format!(
+                r#""variant": "naive" | "allocs": {naive_allocs}, "peak_live_bytes": {naive_peak}
+                   "variant": "memopt" | "allocs": {memopt_allocs}, "peak_live_bytes": {memopt_peak}"#
+            ),
         )
-    }
-
-    #[test]
-    fn json_scanners_extract_fields() {
-        let j = mem_json(4, 2048, 4000, 900_000, true);
-        assert_eq!(num_field(&j, "order"), Some(512.0));
-        assert_eq!(bool_field(&j, "allocator_installed"), Some(true));
-        let memopt = object_with(&j, "name", "memopt").unwrap();
-        assert_eq!(num_field(memopt, "allocs"), Some(4.0));
-        assert_eq!(num_field(memopt, "peak_live_bytes"), Some(2048.0));
-        assert!(object_with(&j, "name", "missing").is_none());
-        assert!(num_field(&j, "nonexistent").is_none());
     }
 
     #[test]
     fn gate_mem_passes_identical_runs() {
         let j = mem_json(4, 2048, 4000, 900_000, true);
-        assert!(gate_mem(&j, &j, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_mem.json", &j, &j).is_empty());
     }
 
     #[test]
     fn gate_mem_fails_on_doctored_baseline() {
         let base = mem_json(4, 2048, 2000, 400_000, true); // doctored: halved counts
         let fresh = mem_json(4, 2048, 4000, 900_000, true);
-        let problems = gate_mem(&fresh, &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("naive.allocs regressed")), "{problems:?}");
-        assert!(
-            problems.iter().any(|p| p.contains("naive.peak_live_bytes regressed")),
-            "{problems:?}"
-        );
+        let problems = gate_file("BENCH_mem.json", &fresh, &base);
+        assert!(has(&problems, "variant=naive allocs regressed"), "{problems:?}");
+        assert!(has(&problems, "variant=naive peak_live_bytes regressed"), "{problems:?}");
     }
 
     #[test]
     fn gate_mem_enforces_memopt_beats_naive() {
         let bad = mem_json(5000, 2048, 4000, 900_000, true);
-        let problems = gate_mem(&bad, &bad, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("no longer allocates less")), "{problems:?}");
+        let problems = gate_file("BENCH_mem.json", &bad, &bad);
+        assert!(has(&problems, "allocs 5000 is no longer below"), "{problems:?}");
         let bad_peak = mem_json(4, 900_000, 4000, 900_000, true);
-        let problems = gate_mem(&bad_peak, &bad_peak, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("peak live bytes")), "{problems:?}");
+        let problems = gate_file("BENCH_mem.json", &bad_peak, &bad_peak);
+        assert!(has(&problems, "peak_live_bytes 900000 is no longer below"), "{problems:?}");
     }
 
     #[test]
     fn gate_mem_requires_instrumented_allocator_and_matching_config() {
         let fresh = mem_json(4, 2048, 4000, 900_000, false);
-        let problems = gate_mem(&fresh, &fresh, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("allocator_installed")), "{problems:?}");
+        let problems = gate_file("BENCH_mem.json", &fresh, &fresh);
+        assert!(has(&problems, "allocator_installed = false"), "{problems:?}");
         let fresh = mem_json(4, 2048, 4000, 900_000, true);
         let base = fresh.replace("\"order\": 512", "\"order\": 1024");
-        let problems = gate_mem(&fresh, &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("config drift")), "{problems:?}");
+        let problems = gate_file("BENCH_mem.json", &fresh, &base);
+        assert_eq!(problems, ["config drift: order fresh 512 vs baseline 1024"]);
     }
 
     fn obs_json(disabled: f64, enabled: f64, recorder: f64) -> String {
-        format!(
-            "{{\n  \"bench\": \"bench-obs\",\n  \"overhead_disabled_percent\": {disabled:.3},\n  \
-             \"overhead_enabled_percent\": {enabled:.3},\n  \
-             \"overhead_recorder_percent\": {recorder:.3}\n}}\n"
+        artifact(
+            r#""size": 1024"#,
+            &format!(
+                r#""variant": "untraced", "threads": 2 | "millis": 1.0
+                   "variant": "disabled", "threads": 2 | "overhead_percent": {disabled}
+                   "variant": "enabled", "threads": 2 | "overhead_percent": {enabled}
+                   "variant": "recorder_off" | "millis": 1.0
+                   "variant": "recorder_on" | "overhead_percent": {recorder}"#
+            ),
         )
     }
 
     #[test]
     fn gate_obs_allows_slack_but_fails_past_it() {
         let base = obs_json(1.0, 8.0, 1.0);
-        assert!(gate_obs(&obs_json(9.0, 15.0, 2.0), &base, 25.0, 10.0).is_empty());
-        let problems = gate_obs(&obs_json(12.0, 8.0, 1.0), &base, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("overhead_disabled_percent regressed")),
-            "{problems:?}"
-        );
+        assert!(gate_file("BENCH_obs.json", &obs_json(9.0, 15.0, 2.0), &base).is_empty());
+        let problems = gate_file("BENCH_obs.json", &obs_json(12.0, 8.0, 1.0), &base);
+        assert!(has(&problems, "variant=disabled overhead_percent regressed"), "{problems:?}");
         // The serving-path recorder overhead gates the same way.
-        let problems = gate_obs(&obs_json(1.0, 8.0, 15.0), &base, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("overhead_recorder_percent regressed")),
-            "{problems:?}"
-        );
-        // A baseline without the recorder key is reported, not ignored.
-        let old_base = "{\n  \"overhead_disabled_percent\": 1.0,\n  \
-                        \"overhead_enabled_percent\": 8.0\n}\n";
-        let problems = gate_obs(&obs_json(1.0, 8.0, 1.0), old_base, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("missing overhead_recorder_percent")),
-            "{problems:?}"
-        );
+        let problems = gate_file("BENCH_obs.json", &obs_json(1.0, 8.0, 15.0), &base);
+        assert!(has(&problems, "variant=recorder_on overhead_percent regressed"), "{problems:?}");
+        // A baseline without the recorder row is reported, not ignored.
+        let old_base = base.replace("recorder_on", "recorder_gone");
+        let problems = gate_file("BENCH_obs.json", &obs_json(1.0, 8.0, 1.0), &old_base);
+        assert!(has(&problems, "baseline: no row matches variant=recorder_on"), "{problems:?}");
         // Negative overheads (faster than untraced: measurement noise)
         // are always acceptable.
-        assert!(gate_obs(&obs_json(-0.5, -0.1, -0.2), &base, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_obs.json", &obs_json(-0.5, -0.1, -0.2), &base).is_empty());
         // A negative *baseline* clamps to zero instead of tightening
         // the budget below the slack.
-        assert!(
-            gate_obs(&obs_json(9.0, 8.0, 1.0), &obs_json(-5.0, 8.0, -1.0), 25.0, 10.0).is_empty()
-        );
+        let negative = obs_json(-5.0, 8.0, -1.0);
+        assert!(gate_file("BENCH_obs.json", &obs_json(9.0, 8.0, 1.0), &negative).is_empty());
     }
 
     /// Two sweep points (256² and 512², both t=2) with seq at 1.0
     /// ns/cell and the work_steal and planned rows parameterized.
     fn plan_json(ws_large: f64, planned_small: f64, planned_large: f64) -> String {
-        let mut rows = Vec::new();
+        let mut rows = String::new();
         for (size, ws, planned, route) in
-            [(256u64, 2.0, planned_small, "seq"), (512, ws_large, planned_large, "work_steal")]
+            [(256, 2.0, planned_small, "seq"), (512, ws_large, planned_large, "work_steal")]
         {
-            rows.push(format!(
-                "    {{\"size\": {size}, \"threads\": 1, \"mode\": \"seq\", \
-                 \"ns_per_cell\": 1.0000, \"millis\": 1.0}}"
-            ));
-            rows.push(format!(
-                "    {{\"size\": {size}, \"threads\": 2, \"mode\": \"work_steal\", \
-                 \"ns_per_cell\": {ws:.4}, \"millis\": 1.0}}"
-            ));
-            rows.push(format!(
-                "    {{\"size\": {size}, \"threads\": 2, \"mode\": \"planned\", \
-                 \"route\": \"{route}\", \"ns_per_cell\": {planned:.4}, \"millis\": 1.0}}"
-            ));
+            rows += &format!(
+                r#""size": {size}, "threads": 1, "mode": "seq" | "ns_per_cell": 1.0
+                   "size": {size}, "threads": 2, "mode": "work_steal", "grain": 256 | "ns_per_cell": {ws:.4}
+                   "size": {size}, "threads": 2, "mode": "planned", "route": "{route}" | "ns_per_cell": {planned:.4}
+                "#
+            );
         }
-        format!(
-            "{{\n  \"bench\": \"bench-baseline\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        )
+        artifact(r#""runs": 3"#, &rows)
     }
 
     #[test]
     fn gate_plan_passes_when_the_plan_tracks_the_faster_schedule() {
         // seq plan at 256² (work_steal slower), work_steal plan at 512².
         let good = plan_json(0.8, 1.0, 0.85);
-        assert!(gate_plan(&good, &good, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_pool.json", &good, &good).is_empty());
         // Planned faster than both rows is an improvement, not a failure.
         let faster = plan_json(0.8, 0.5, 0.5);
-        assert!(gate_plan(&faster, &faster, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_pool.json", &faster, &faster).is_empty());
     }
 
     #[test]
     fn gate_plan_fails_a_wrong_pick_at_every_point() {
         // At 256² the seq plan is held to work_steal when that is faster.
-        let bad = plan_json(0.8, 1.0, 0.8).replace(
-            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 2.0000",
-            "\"size\": 256, \"threads\": 2, \"mode\": \"work_steal\", \"ns_per_cell\": 0.5000",
-        );
-        let problems = gate_plan(&bad, &bad, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("planned route lost at 256x256 t=2")),
-            "{problems:?}"
-        );
+        let bad = plan_json(0.8, 1.0, 0.8).replacen("2.0000", "0.5000", 1);
+        let problems = gate_file("BENCH_pool.json", &bad, &bad);
+        assert!(has(&problems, "1.0000 at size=256 threads=2 mode=planned"), "{problems:?}");
         // At 512² a work_steal plan slower than seq fails too.
         let bad = plan_json(1.5, 1.0, 1.5);
-        let problems = gate_plan(&bad, &bad, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("planned route lost at 512x512 t=2")),
-            "{problems:?}"
-        );
+        let problems = gate_file("BENCH_pool.json", &bad, &bad);
+        assert!(has(&problems, "1.5000 at size=512 threads=2 mode=planned"), "{problems:?}");
     }
 
     #[test]
     fn gate_plan_compares_against_the_fastest_work_steal_grain() {
         // A second, faster work_steal grain at 512² makes the planned
         // row (at the production grain) lose by more than 10%.
-        let extra = "    {\"size\": 512, \"threads\": 2, \"mode\": \"work_steal\", \
-                     \"grain\": 2048, \"ns_per_cell\": 0.5000, \"millis\": 1.0},\n";
-        let two = plan_json(0.8, 1.0, 0.8).replacen(
-            "    {\"size\": 512, \"threads\": 2, \"mode\": \"planned\"",
-            &format!("{extra}    {{\"size\": 512, \"threads\": 2, \"mode\": \"planned\""),
-            1,
-        );
-        assert!(two.contains("\"grain\": 2048"), "splice failed");
-        let problems = gate_plan(&two, &two, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("lost at 512x512")), "{problems:?}");
+        let fast = r#"{"labels": {"size": 512, "threads": 2, "mode": "work_steal", "grain": 2048}, "metrics": {"ns_per_cell": 0.5}}"#;
+        let two = plan_json(0.8, 1.0, 0.8).replacen("\n]", &format!(",\n{fast}\n]"), 1);
+        let problems = gate_file("BENCH_pool.json", &two, &two);
+        assert!(has(&problems, "at size=512 threads=2 mode=planned"), "{problems:?}");
     }
 
     #[test]
     fn gate_plan_detects_missing_rows_and_config_drift() {
         let fresh = plan_json(0.8, 1.0, 0.85);
         let base = fresh.replace("\"size\": 512", "\"size\": 1024");
-        let problems = gate_plan(&fresh, &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("config drift")), "{problems:?}");
+        let problems = gate_file("BENCH_pool.json", &fresh, &base);
+        assert!(
+            has(&problems, "config drift: mode=planned ^size ^threads is size=512"),
+            "{problems:?}"
+        );
         let no_plan = fresh.replace("\"planned\"", "\"other\"");
-        let problems = gate_plan(&no_plan, &fresh, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("no planned rows")), "{problems:?}");
-        let no_ws = fresh.replace("\"work_steal\", \"ns", "\"renamed\", \"ns");
-        let problems = gate_plan(&no_ws, &fresh, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("missing seq or work_steal")), "{problems:?}");
+        let problems = gate_file("BENCH_pool.json", &no_plan, &fresh);
+        assert!(has(&problems, "fresh: no row matches mode=planned"), "{problems:?}");
+        let no_ws = fresh.replace("\"work_steal\", \"grain\"", "\"renamed\", \"grain\"");
+        let problems = gate_file("BENCH_pool.json", &no_ws, &fresh);
+        assert!(has(&problems, "fresh: no row matches mode=work_steal"), "{problems:?}");
+        let no_ws_256 = fresh.replacen("\"work_steal\", \"grain\"", "\"renamed\", \"grain\"", 1);
+        let problems = gate_file("BENCH_pool.json", &no_ws_256, &fresh);
+        assert!(has(&problems, "no mode=work_steal row at size=256 threads=2"), "{problems:?}");
     }
 
-    /// Two sweep points (512² t=1 leader-only, 512² t=2), with the
-    /// overhead block parameterized.
+    /// Two sweep points (512² t=1 leader-only, 512² t=2), plus the
+    /// overhead rows with the A/A and profiler-on deltas parameterized.
     fn profile_json(off: f64, on: f64) -> String {
-        let mut rows = Vec::new();
-        for (threads, util) in [(1u64, 0.0), (2, 0.9)] {
-            rows.push(format!(
-                "    {{\"size\": 512, \"threads\": {threads}, \"mode\": \"work_steal\", \
-                 \"utilization\": {util:.4}, \"parallelism\": 1.5000, \"busy_ns\": 1000, \
-                 \"steal_ns\": 10, \"idle_ns\": 10, \"barrier_ns\": 10, \"millis\": 1.0}}"
-            ));
-        }
-        format!(
-            "{{\n  \"bench\": \"bench-profile\",\n  \"par_grain\": 128,\n  \
-             \"overhead_size\": 512,\n  \"overhead_threads\": 2,\n  \
-             \"overhead_off_percent\": {off:.3},\n  \"overhead_on_percent\": {on:.3},\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
+        artifact(
+            r#""par_grain": 128"#,
+            &format!(
+                r#""size": 512, "threads": 1, "mode": "work_steal" | "utilization": 0.0
+                   "size": 512, "threads": 2, "mode": "work_steal" | "utilization": 0.9
+                   "variant": "profiler_off_a", "size": 512, "threads": 2 | "millis": 1.0
+                   "variant": "profiler_off_b", "size": 512, "threads": 2 | "overhead_percent": {off}
+                   "variant": "profiler_on", "size": 512, "threads": 2 | "overhead_percent": {on}"#
+            ),
         )
     }
 
@@ -1767,71 +1846,70 @@ mod tests {
     fn gate_profile_pins_the_off_path_near_zero() {
         let base = profile_json(0.4, 1.3);
         // Within budget + slack (2 + 10 points) passes; past it fails.
-        assert!(gate_profile(&profile_json(11.0, 1.3), &base, 25.0, 10.0).is_empty());
-        let problems = gate_profile(&profile_json(13.0, 1.3), &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("profiler-off A/A overhead")), "{problems:?}");
+        assert!(gate_file("BENCH_profile.json", &profile_json(11.0, 1.3), &base).is_empty());
+        let problems = gate_file("BENCH_profile.json", &profile_json(13.0, 1.3), &base);
+        assert!(
+            has(&problems, "profiler_off_b overhead_percent 13 is over its cap 12"),
+            "{problems:?}"
+        );
         // Negative A/A (second run faster) is noise, never a failure.
-        assert!(gate_profile(&profile_json(-3.0, 1.3), &base, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_profile.json", &profile_json(-3.0, 1.3), &base).is_empty());
     }
 
     #[test]
     fn gate_profile_holds_on_overhead_to_the_baseline() {
         let base = profile_json(0.4, 1.3);
-        let problems = gate_profile(&profile_json(0.4, 14.0), &base, 25.0, 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("overhead_on_percent regressed")),
-            "{problems:?}"
-        );
+        let problems = gate_file("BENCH_profile.json", &profile_json(0.4, 14.0), &base);
+        assert!(has(&problems, "variant=profiler_on overhead_percent regressed"), "{problems:?}");
         // A negative baseline clamps to zero instead of tightening the
         // budget below the slack.
         let noisy_base = profile_json(0.4, -2.0);
-        assert!(gate_profile(&profile_json(0.4, 9.0), &noisy_base, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_profile.json", &profile_json(0.4, 9.0), &noisy_base).is_empty());
     }
 
     #[test]
     fn gate_profile_detects_config_drift_and_missing_fields() {
         let fresh = profile_json(0.4, 1.3);
-        let base = fresh.replace("\"overhead_size\": 512", "\"overhead_size\": 1024");
-        let problems = gate_profile(&fresh, &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("config drift")), "{problems:?}");
-        let gutted = fresh.replace("overhead_off_percent", "overhead_off_was");
-        let problems = gate_profile(&gutted, &gutted, 25.0, 10.0);
+        let base =
+            fresh.replace("\"profiler_on\", \"size\": 512", "\"profiler_on\", \"size\": 1024");
+        let problems = gate_file("BENCH_profile.json", &fresh, &base);
+        assert!(has(&problems, "config drift: variant=profiler_on"), "{problems:?}");
+        let gutted = fresh.replacen("\"overhead_percent\"", "\"overhead_was\"", 1);
+        let problems = gate_file("BENCH_profile.json", &gutted, &gutted);
         assert!(
-            problems.iter().any(|p| p.contains("missing overhead_off_percent")),
+            has(&problems, "fresh: variant=profiler_off_b has no overhead_percent"),
             "{problems:?}"
         );
         let resized =
-            fresh.replace("\"size\": 512, \"threads\": 2", "\"size\": 1024, \"threads\": 2");
-        let problems = gate_profile(&resized, &fresh, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("largest sweep point")), "{problems:?}");
+            fresh.replace("512, \"threads\": 2, \"mode\"", "1024, \"threads\": 2, \"mode\"");
+        let problems = gate_file("BENCH_profile.json", &resized, &fresh);
+        assert!(has(&problems, "config drift: mode=work_steal ^size ^threads"), "{problems:?}");
     }
 
     fn osed_json(allocs: u64, ratio: f64, installed: bool) -> String {
-        format!(
-            "{{\n  \"bench\": \"bench-osed\",\n  \"sigma\": 4,\n  \"runs\": 3,\n  \
-             \"allocator_installed\": {installed},\n  \"rows\": [\n    \
-             {{\"size\": 1024, \"similarity\": 0.99, \"distance\": 20, \
-             \"osed_millis\": 0.4, \"allocs\": 9, \"ratio_vs_best_grid\": 0.01000}},\n    \
-             {{\"size\": 4096, \"similarity\": 0.99, \"distance\": 80, \
-             \"osed_millis\": 1.0, \"allocs\": {allocs}, \
-             \"ratio_vs_best_grid\": {ratio:.5}}},\n    \
-             {{\"size\": 4096, \"similarity\": 0.999, \"distance\": 8, \
-             \"osed_millis\": 0.9, \"allocs\": 999, \"ratio_vs_best_grid\": 0.90000}}\n  ]\n}}\n"
+        artifact(
+            &format!(r#""sigma": 4, "runs": 3, "threads": 2, "allocator_installed": {installed}"#),
+            &format!(
+                r#""table": "grid", "size": 4096 | "dp_millis": 50.0
+                   "table": "similarity", "size": 1024, "similarity": 0.99 | "allocs": 9, "ratio_vs_best_grid": 0.01
+                   "table": "similarity", "size": 4096, "similarity": 0.99 | "allocs": {allocs}, "ratio_vs_best_grid": {ratio}
+                   "table": "similarity", "size": 4096, "similarity": 0.999 | "allocs": 999, "ratio_vs_best_grid": 0.9"#
+            ),
         )
     }
 
     #[test]
     fn gate_osed_gates_the_largest_99_percent_row_only() {
         let base = osed_json(12, 0.05, true);
-        assert!(gate_osed(&base, &base, 25.0, 10.0).is_empty());
+        assert!(gate_file("BENCH_osed.json", &base, &base).is_empty());
         // The 0.999 row's terrible ratio and alloc count never gate.
-        let problems = gate_osed(&osed_json(20, 0.05, true), &base, 25.0, 10.0);
+        let problems = gate_file("BENCH_osed.json", &osed_json(20, 0.05, true), &base);
         assert!(
-            problems.iter().any(|p| p.contains("allocs at size 4096 sim 0.99")),
+            has(&problems, "similarity=0.99 ^size allocs regressed: 20 vs baseline 12"),
             "{problems:?}"
         );
-        let problems = gate_osed(&osed_json(12, 0.08, true), &base, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("ratio at size 4096 sim 0.99")), "{problems:?}");
+        let problems = gate_file("BENCH_osed.json", &osed_json(12, 0.08, true), &base);
+        assert!(has(&problems, "^size ratio_vs_best_grid regressed"), "{problems:?}");
     }
 
     #[test]
@@ -1839,20 +1917,54 @@ mod tests {
         // Doctoring the baseline to match cannot save a ratio above the
         // absolute ceiling: the 5× claim is part of the contract.
         let slow = osed_json(12, 0.3, true);
-        let problems = gate_osed(&slow, &slow, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("no longer ≥ 5× faster")), "{problems:?}");
+        let problems = gate_file("BENCH_osed.json", &slow, &slow);
+        assert!(has(&problems, "ratio_vs_best_grid 0.3 is over its cap 0.2"), "{problems:?}");
     }
 
     #[test]
     fn gate_osed_requires_instrumented_allocator_and_matching_config() {
         let good = osed_json(12, 0.05, true);
-        let problems = gate_osed(&osed_json(12, 0.05, false), &good, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("allocator_installed")), "{problems:?}");
+        let problems = gate_file("BENCH_osed.json", &osed_json(12, 0.05, false), &good);
+        assert!(has(&problems, "allocator_installed"), "{problems:?}");
         let drifted = good.replace("\"sigma\": 4", "\"sigma\": 26");
-        let problems = gate_osed(&drifted, &good, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("config drift: sigma")), "{problems:?}");
-        let resized = good.replace("\"size\": 4096, \"similarity\": 0.99,", "");
-        let problems = gate_osed(&resized, &good, 25.0, 10.0);
-        assert!(problems.iter().any(|p| p.contains("largest 99%-similarity row")), "{problems:?}");
+        let problems = gate_file("BENCH_osed.json", &drifted, &good);
+        assert!(has(&problems, "config drift: sigma"), "{problems:?}");
+        let resized = good.replace("4096, \"similarity\": 0.99 ", "2048, \"similarity\": 0.99 ");
+        let problems = gate_file("BENCH_osed.json", &resized, &good);
+        assert!(has(&problems, "is size=2048 fresh vs size=4096 baseline"), "{problems:?}");
+    }
+
+    #[test]
+    fn gates_refuse_oversubscribed_rows() {
+        // A 4-thread row on the 2-core host, labelled or not.
+        let over = plan_json(0.8, 1.0, 0.85).replace("\"threads\": 2", "\"threads\": 4");
+        let problems = gate_file("BENCH_pool.json", &over, &over);
+        assert!(has(&problems, "oversubscribed row (size=512 threads=4"), "{problems:?}");
+        let base = obs_json(1.0, 8.0, 1.0);
+        let labelled = base.replace("\"recorder_on\"", "\"recorder_on\", \"oversubscribed\": true");
+        let problems = gate_file("BENCH_obs.json", &labelled, &base);
+        assert!(
+            has(&problems, "fresh: variant=recorder_on reads an oversubscribed"),
+            "{problems:?}"
+        );
+        // The config's thread count applies to rows without their own.
+        let osed = osed_json(12, 0.05, true).replace("\"threads\": 2", "\"threads\": 8");
+        assert!(has(&gate_file("BENCH_osed.json", &osed, &osed), "oversubscribed"));
+    }
+
+    #[test]
+    fn perf_gate_fails_on_a_missing_baseline_and_passes_the_committed_ones() {
+        let baselines = repo_root().join("perf/baselines");
+        // Every committed baseline holds against itself.
+        let problems = gate_dirs(&baselines, &baselines, 25.0, 10.0);
+        assert!(problems.is_empty(), "{problems:?}");
+        // No baseline on file is a failure, never a skip.
+        let empty = std::env::temp_dir().join("xtask_perf_gate_no_baselines");
+        std::fs::create_dir_all(&empty).unwrap();
+        let problems = gate_dirs(&baselines, &empty, 25.0, 10.0);
+        assert_eq!(problems.len(), BOUNDS.len(), "{problems:?}");
+        for (file, _) in BOUNDS {
+            assert!(has(&problems, &format!("{file}: baseline ")), "{file}: {problems:?}");
+        }
     }
 }

@@ -40,6 +40,19 @@ proptest! {
     }
 
     #[test]
+    fn bfs_matches_dp_on_short_binary_and_dna_pairs(
+        a2 in arb_string(10, 2), b2 in arb_string(10, 2),
+        a4 in arb_string(10, 4), b4 in arb_string(10, 4)
+    ) {
+        // Lengths 0..=10 make empty and one-sided pairs common; the
+        // explicit empty operands pin those shapes in every case.
+        let empty = Vec::new();
+        for (a, b) in [(&a2, &b2), (&a4, &b4), (&a2, &empty), (&empty, &b4), (&empty, &empty)] {
+            prop_assert_eq!(edit_distance(a, b), dp_edit_distance(a, b));
+        }
+    }
+
+    #[test]
     fn bfs_matches_dp_on_similar_pairs((a, b) in similar_inputs(512)) {
         prop_assert_eq!(edit_distance(&a, &b), dp_edit_distance(&a, &b));
     }
